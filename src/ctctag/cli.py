@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .decoder import greedy_decode, emit_timeline
+from .decoder import check_width, emit_timeline, greedy_decode
 from .errors import AlignmentError, CtcTagError, FormatError
 from .evaluate import evaluate_corpus
 from .formats import load_emission_matrix, read_feature_file
@@ -189,6 +189,7 @@ def _cmd_train(args) -> None:
 
 
 def _decode_one(registry, emissions) -> tuple[str, dict]:
+    check_width(emissions, registry.vocab)
     result = greedy_decode(emissions)
     labels = list(result.labels)
     tagged_text = decode_tokens(registry, labels)
@@ -245,6 +246,10 @@ def _cmd_eval(args) -> None:
     missing = [r.uid for r in ref_records if r.uid not in hyp_by_id]
     if missing:
         raise AlignmentError(f"{args.hyp}: no hypothesis for {missing[0]}")
+    ref_ids = {r.uid for r in ref_records}
+    extra = [r.uid for r in hyp_records if r.uid not in ref_ids]
+    if extra:
+        raise AlignmentError(f"{args.hyp}: {extra[0]} is not in the reference {args.ref}")
 
     def to_transcript(record):
         return parse(encode_tagged_text(registry, record.tagged_text), registry)

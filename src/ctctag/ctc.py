@@ -3,9 +3,11 @@
 Per-frame token distributions define a distribution over frame-length paths;
 the collapse map (merge adjacent repeats, then drop blanks) sends paths to
 label sequences, and the probability of a label sequence is the sum over all
-paths that collapse to it. The efficient evaluation runs the usual
-forward-backward recursion over the blank-interleaved label sequence, kept in
-log space throughout (pure log-sum-exp, no per-frame rescaling) so it can be
+paths that collapse to it. The efficient evaluation runs over the
+blank-interleaved label sequence with one alpha (forward) routine, which
+yields the sequence probability for both the loss and the gradient, and one
+beta (backward) routine, which only the gradient needs. Both stay in log
+space throughout (pure log-sum-exp, no per-frame rescaling) so they can be
 compared exactly against the brute-force path enumeration.
 
 Everything here is 64-bit; token ids are plain ints with the blank id taken
@@ -43,7 +45,8 @@ class EmissionMatrix:
             raise ShapeError(f"emissions must be 2-D, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 2:
             raise ShapeError(f"emissions need T >= 1 and V_total >= 2, got {arr.shape}")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        # written so that NaN, which fails every comparison, is rejected too
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError("emission entries must lie in [0, 1]")
         row_sums = arr.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
@@ -151,32 +154,9 @@ def _extended_sequence(labels: list[int], blank_id: int) -> np.ndarray:
     return ext
 
 
-def _forward_log(log_probs_ext: np.ndarray, skip_into: np.ndarray) -> np.ndarray:
-    """Log-space forward pass over the extended sequence; returns final alphas."""
-    t_frames, n_states = log_probs_ext.shape
-    alpha = np.full(n_states, -np.inf)
-    alpha[0] = log_probs_ext[0, 0]
-    if n_states > 1:
-        alpha[1] = log_probs_ext[0, 1]
-    for t in range(1, t_frames):
-        stay = alpha
-        step = np.concatenate(([-np.inf], alpha[:-1]))
-        acc = np.logaddexp(stay, step)
-        if n_states > 2:
-            skip = np.concatenate(([-np.inf, -np.inf], alpha[:-2]))
-            acc = np.where(skip_into, np.logaddexp(acc, skip), acc)
-        alpha = acc + log_probs_ext[t]
-    return alpha
-
-
-def _forward_backward_log(
-    log_probs_ext: np.ndarray, skip_into: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Full alpha/beta lattices in log space plus the sequence log-probability.
-
-    Beta excludes the emission at its own frame, so alpha[t] + beta[t]
-    log-sum-exps to the sequence log-probability at every t.
-    """
+def _alphas_log(log_probs_ext: np.ndarray, skip_into: np.ndarray) -> tuple[np.ndarray, float]:
+    """Log-space alpha lattice over the extended sequence and the sequence
+    log-probability."""
     t_frames, n_states = log_probs_ext.shape
     alphas = np.full((t_frames, n_states), -np.inf)
     alphas[0, 0] = log_probs_ext[0, 0]
@@ -189,7 +169,20 @@ def _forward_backward_log(
             skip = np.concatenate(([-np.inf, -np.inf], prev[:-2]))
             acc = np.where(skip_into, np.logaddexp(acc, skip), acc)
         alphas[t] = acc + log_probs_ext[t]
+    if n_states > 1:
+        log_p = float(np.logaddexp(alphas[-1, -1], alphas[-1, -2]))
+    else:
+        log_p = float(alphas[-1, -1])
+    return alphas, log_p
 
+
+def _betas_log(log_probs_ext: np.ndarray, skip_into: np.ndarray) -> np.ndarray:
+    """Log-space beta lattice over the extended sequence.
+
+    Beta excludes the emission at its own frame, so alpha[t] + beta[t]
+    log-sum-exps to the sequence log-probability at every t.
+    """
+    t_frames, n_states = log_probs_ext.shape
     betas = np.full((t_frames, n_states), -np.inf)
     betas[t_frames - 1, n_states - 1] = 0.0
     if n_states > 1:
@@ -203,12 +196,7 @@ def _forward_backward_log(
             from_skip = np.concatenate((skip_into[2:], [False, False]))
             acc = np.where(from_skip, np.logaddexp(acc, skip), acc)
         betas[t] = acc
-
-    if n_states > 1:
-        log_p = float(np.logaddexp(alphas[-1, -1], alphas[-1, -2]))
-    else:
-        log_p = float(alphas[-1, -1])
-    return alphas, betas, log_p
+    return betas
 
 
 def _prepare(emissions_log: np.ndarray, labels: list[int], blank_id: int):
@@ -220,6 +208,18 @@ def _prepare(emissions_log: np.ndarray, labels: list[int], blank_id: int):
     return ext, skip_into, emissions_log[:, ext]
 
 
+def _feasible_target(labels, t_frames: int, v_total: int) -> list[int]:
+    """Validated label ids; InfeasibleAlignment unless some path of t_frames
+    frames can collapse to them."""
+    target = _check_labels(labels, v_total, v_total - 1)
+    repeats = _adjacent_repeats(target)
+    if t_frames < len(target) + repeats:
+        raise InfeasibleAlignment(
+            f"{len(target)} labels with {repeats} repeats do not fit in {t_frames} frames"
+        )
+    return target
+
+
 def ctc_neg_log_likelihood(emissions: EmissionMatrix, labels) -> float:
     """-log p(labels | emissions) by the forward recursion.
 
@@ -227,17 +227,11 @@ def ctc_neg_log_likelihood(emissions: EmissionMatrix, labels) -> float:
     the labels; returns +inf when the alignment is feasible but every path has
     probability zero.
     """
-    target = _check_labels(labels, emissions.v_total, emissions.blank_id)
-    if emissions.t_frames < len(target) + _adjacent_repeats(target):
-        raise InfeasibleAlignment(
-            f"{len(target)} labels with {_adjacent_repeats(target)} repeats "
-            f"do not fit in {emissions.t_frames} frames"
-        )
+    target = _feasible_target(labels, emissions.t_frames, emissions.v_total)
     with np.errstate(divide="ignore"):
         log_probs = np.log(emissions.probs)
     _, skip_into, log_probs_ext = _prepare(log_probs, target, emissions.blank_id)
-    alpha = _forward_log(log_probs_ext, skip_into)
-    log_p = float(np.logaddexp(alpha[-1], alpha[-2])) if len(alpha) > 1 else float(alpha[-1])
+    _, log_p = _alphas_log(log_probs_ext, skip_into)
     return -log_p
 
 
@@ -249,20 +243,15 @@ def nll_and_gradient(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     t_frames, v_total = logits.shape
     if t_frames < 1 or v_total < 2:
         raise ShapeError(f"logits need T >= 1 and V_total >= 2, got {logits.shape}")
-    blank_id = v_total - 1
-    target = _check_labels(labels, v_total, blank_id)
-    if t_frames < len(target) + _adjacent_repeats(target):
-        raise InfeasibleAlignment(
-            f"{len(target)} labels with {_adjacent_repeats(target)} repeats "
-            f"do not fit in {t_frames} frames"
-        )
+    target = _feasible_target(labels, t_frames, v_total)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_norm
     probs = np.exp(log_probs)
 
-    ext, skip_into, log_probs_ext = _prepare(log_probs, target, blank_id)
-    alphas, betas, log_p = _forward_backward_log(log_probs_ext, skip_into)
+    ext, skip_into, log_probs_ext = _prepare(log_probs, target, v_total - 1)
+    alphas, log_p = _alphas_log(log_probs_ext, skip_into)
+    betas = _betas_log(log_probs_ext, skip_into)
 
     # occupancy: gamma[t, k] = sum over states with label k of exp(a + b - log_p)
     contrib = np.exp(alphas + betas - log_p)

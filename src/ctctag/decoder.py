@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import EmissionMatrix, collapse
+from .ctc import EmissionMatrix
 from .errors import ShapeError
 from .vocab import TagRegistry, Vocabulary
 
@@ -57,7 +57,6 @@ def greedy_decode(emissions: EmissionMatrix) -> DecodeResult:
         if value != blank_id:
             labels.append(value)
             spans.append((first, last))
-    assert labels == collapse(path, blank_id)
     return DecodeResult(tuple(path), tuple(labels), tuple(spans))
 
 
@@ -72,7 +71,7 @@ class StreamingDecoder:
 
     def __init__(self, v_total: int | None = None):
         self._v_total = v_total
-        self._frames = 0
+        self._path: list[int] = []
         self._run: tuple[int, int, int] | None = None  # (value, first, last)
         self._committed: list[tuple[int, tuple[int, int]]] = []
 
@@ -97,9 +96,9 @@ class StreamingDecoder:
         elif row.shape[0] != self._v_total:
             raise ShapeError(f"row width {row.shape[0]} != stream width {self._v_total}")
 
-        t = self._frames
-        self._frames += 1
+        t = len(self._path)
         value = int(np.argmax(row))
+        self._path.append(value)
         committed: list[tuple[int, tuple[int, int]]] = []
         if self._run is not None and self._run[0] == value:
             self._run = (value, self._run[1], t)
@@ -114,21 +113,20 @@ class StreamingDecoder:
         """Decode state over all frames seen so far, open run included."""
         labels = [label for label, _ in self._committed]
         spans = [span for _, span in self._committed]
-        path: list[int] = []
-        for label, (first, last) in self._committed:
-            # reconstruct committed runs; blanks between them are implicit
-            while len(path) < first:
-                path.append(self.blank_id)
-            path.extend([label] * (last - first + 1))
-        if self._run is not None:
+        if self._run is not None and self._run[0] != self.blank_id:
             value, first, last = self._run
-            while len(path) < first:
-                path.append(self.blank_id)
-            path.extend([value] * (last - first + 1))
-            if value != self.blank_id:
-                labels.append(value)
-                spans.append((first, last))
-        return DecodeResult(tuple(path), tuple(labels), tuple(spans))
+            labels.append(value)
+            spans.append((first, last))
+        return DecodeResult(tuple(self._path), tuple(labels), tuple(spans))
+
+
+def check_width(emissions: EmissionMatrix, vocab: Vocabulary) -> None:
+    """Emissions must have one column per vocabulary token; otherwise their
+    ids (the blank's included) mean different tokens."""
+    if vocab.v_total != emissions.v_total:
+        raise ShapeError(
+            f"vocabulary width {vocab.v_total} != emission width {emissions.v_total}"
+        )
 
 
 def emit_timeline(
@@ -141,10 +139,7 @@ def emit_timeline(
     Bound tag surfaces are used when a registry is supplied; otherwise
     placeholders show their vocabulary auto-names.
     """
-    if vocab.v_total != emissions.v_total:
-        raise ShapeError(
-            f"vocabulary width {vocab.v_total} != emission width {emissions.v_total}"
-        )
+    check_width(emissions, vocab)
     rows = []
     for t in range(emissions.t_frames):
         token_id = int(np.argmax(emissions.probs[t]))

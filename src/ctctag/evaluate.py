@@ -47,14 +47,9 @@ class NerReport:
 
 
 @dataclass(frozen=True)
-class EvalReport:
-    precision: float
-    recall: float
-    f1: float
-    wer: float
-    intent_accuracy: float
-    per_type: dict[str, TypeScores] = field(default_factory=dict)
-    totals: Totals = Totals()
+class EvalReport(NerReport):
+    wer: float = field(kw_only=True)
+    intent_accuracy: float = field(kw_only=True)
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -125,9 +120,7 @@ def edit_distance(ref: list[str], hyp: list[str]) -> int:
 
 def wer(ref_words: list[str], hyp_words: list[str]) -> float:
     """Edit distance divided by reference length."""
-    if not ref_words:
-        raise EmptyReference("WER needs a non-empty reference")
-    return edit_distance(list(ref_words), list(hyp_words)) / len(ref_words)
+    return corpus_wer([ref_words], [hyp_words])
 
 
 def corpus_wer(ref_word_lists: list[list[str]], hyp_word_lists: list[list[str]]) -> float:

@@ -56,33 +56,47 @@ def write_emission_file(path: str | Path, array: np.ndarray, kind: int) -> None:
     Path(path).write_bytes(header + narrowed.tobytes())
 
 
-def read_emission_file(path: str | Path) -> tuple[np.ndarray, int]:
-    """Read an emission file; returns (float64 array, kind)."""
+def _read_rows(path, layout: struct.Struct, magic: bytes, what: str, width_name: str,
+               min_width: int, check_fields=None) -> tuple[list, np.ndarray]:
+    """Validate a header and payload shared by both formats.
+
+    Returns the header fields between version and dimensions, passed first to
+    `check_fields(path, *fields)` when given, and the payload as a float64
+    (T, width) array.
+    """
     buf = Path(path).read_bytes()
-    if len(buf) < _EMISSION_HEADER.size:
-        raise TruncatedFile(f"{path}: shorter than the emission header")
-    magic, version, kind, reserved, t_frames, v_total = _EMISSION_HEADER.unpack_from(buf)
-    if magic != EMISSION_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
+    if len(buf) < layout.size:
+        raise TruncatedFile(f"{path}: shorter than the {what} header")
+    found, version, *fields, t_frames, width = layout.unpack_from(buf)
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found!r}")
     if version != FORMAT_VERSION:
-        raise UnsupportedVersion(f"{path}: emission file version {version}")
+        raise UnsupportedVersion(f"{path}: {what} file version {version}")
+    if check_fields is not None:
+        check_fields(path, *fields)
+    if t_frames < 1 or width < min_width:
+        raise FormatError(f"{path}: bad dimensions T={t_frames}, {width_name}={width}")
+    expected = t_frames * width * 4
+    payload = len(buf) - layout.size
+    if payload < expected:
+        raise TruncatedFile(f"{path}: payload has {payload} of {expected} bytes")
+    if payload > expected:
+        raise FormatError(f"{path}: {payload - expected} trailing bytes")
+    arr = np.frombuffer(buf, dtype="<f4", offset=layout.size).reshape(t_frames, width)
+    return fields, arr.astype(np.float64)
+
+
+def _check_emission_fields(path, kind: int, reserved: int) -> None:
     if reserved != 0:
         raise FormatError(f"{path}: reserved byte is {reserved}")
     if kind not in (EMISSION_KIND_PROBS, EMISSION_KIND_LOGITS):
         raise FormatError(f"{path}: unknown emission kind {kind}")
-    if t_frames < 1 or v_total < 2:
-        raise FormatError(f"{path}: bad dimensions T={t_frames}, V_total={v_total}")
-    expected = t_frames * v_total * 4
-    payload = buf[_EMISSION_HEADER.size :]
-    if len(payload) < expected:
-        raise TruncatedFile(f"{path}: payload has {len(payload)} of {expected} bytes")
-    if len(payload) > expected:
-        raise FormatError(f"{path}: {len(payload) - expected} trailing bytes")
-    arr = (
-        np.frombuffer(payload, dtype="<f4")
-        .reshape(t_frames, v_total)
-        .astype(np.float64)
-    )
+
+
+def read_emission_file(path: str | Path) -> tuple[np.ndarray, int]:
+    """Read an emission file; returns (float64 array, kind)."""
+    (kind, _), arr = _read_rows(path, _EMISSION_HEADER, EMISSION_MAGIC, "emission",
+                                "V_total", 2, _check_emission_fields)
     if kind == EMISSION_KIND_PROBS:
         sums = arr.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > STORED_ROW_SUM_TOL):
@@ -109,24 +123,5 @@ def write_feature_file(path: str | Path, array: np.ndarray) -> None:
 
 
 def read_feature_file(path: str | Path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    if len(buf) < _FEATURE_HEADER.size:
-        raise TruncatedFile(f"{path}: shorter than the feature header")
-    magic, version, t_frames, feature_dim = _FEATURE_HEADER.unpack_from(buf)
-    if magic != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersion(f"{path}: feature file version {version}")
-    if t_frames < 1 or feature_dim < 1:
-        raise FormatError(f"{path}: bad dimensions T={t_frames}, m={feature_dim}")
-    expected = t_frames * feature_dim * 4
-    payload = buf[_FEATURE_HEADER.size :]
-    if len(payload) < expected:
-        raise TruncatedFile(f"{path}: payload has {len(payload)} of {expected} bytes")
-    if len(payload) > expected:
-        raise FormatError(f"{path}: {len(payload) - expected} trailing bytes")
-    return (
-        np.frombuffer(payload, dtype="<f4")
-        .reshape(t_frames, feature_dim)
-        .astype(np.float64)
-    )
+    _, arr = _read_rows(path, _FEATURE_HEADER, FEATURE_MAGIC, "feature", "m", 1)
+    return arr

@@ -132,17 +132,7 @@ def parse(
 
 def strip_tags(labels, registry: TagRegistry) -> list[str]:
     """Transcription-word surfaces only, order preserved (for WER scoring)."""
-    vocab = registry.vocab
-    out: list[str] = []
-    for token_id in labels:
-        token_id = int(token_id)
-        if not 0 <= token_id < vocab.v_total:
-            raise UnknownToken(f"token id {token_id} out of range")
-        if token_id == vocab.blank_id:
-            raise BlankInLabelSequence("blank id in a label sequence")
-        if registry.binding_for_id(token_id) is None:
-            out.append(vocab.surface_of(token_id))
-    return out
+    return list(parse(labels, registry).words)
 
 
 def render(transcript: StructuredTranscript, registry: TagRegistry) -> str:
@@ -161,14 +151,7 @@ def render(transcript: StructuredTranscript, registry: TagRegistry) -> str:
 
     pieces: list[str] = []
     if transcript.intent is not None:
-        intent_binding = next(
-            (
-                b
-                for b in registry.bindings
-                if b.kind is TagKind.INTENT and b.name == transcript.intent
-            ),
-            None,
-        )
+        intent_binding = registry.intent_binding(transcript.intent)
         if intent_binding is None:
             raise UnknownToken(f"no intent tag bound for {transcript.intent!r}")
         pieces.append(intent_binding.surface)

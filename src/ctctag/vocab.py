@@ -165,6 +165,11 @@ class TagRegistry:
         self.bindings = tuple(bindings)
         self._by_surface: dict[str, TagBinding] = {}
         self._by_id: dict[int, TagBinding] = {}
+        # where several bindings share a kind and type or name, the first wins
+        self._end: TagBinding | None = None
+        self._speaker_change: TagBinding | None = None
+        self._begin_by_type: dict[str, TagBinding] = {}
+        self._intent_by_name: dict[str, TagBinding] = {}
         end_count = 0
         for b in self.bindings:
             if vocab.role_of(b.token_id) is not TokenRole.PLACEHOLDER:
@@ -175,6 +180,13 @@ class TagRegistry:
                 raise DuplicateToken(f"token id {b.token_id} bound twice")
             if b.kind is TagKind.ENTITY_END:
                 end_count += 1
+                self._end = b
+            elif b.kind is TagKind.SPEAKER_CHANGE and self._speaker_change is None:
+                self._speaker_change = b
+            elif b.kind is TagKind.ENTITY_BEGIN:
+                self._begin_by_type.setdefault(b.entity_type, b)
+            elif b.kind is TagKind.INTENT:
+                self._intent_by_name.setdefault(b.name, b)
             self._by_surface[b.surface] = b
             self._by_id[b.token_id] = b
         if end_count > 1:
@@ -188,22 +200,20 @@ class TagRegistry:
 
     @property
     def end_binding(self) -> TagBinding | None:
-        for b in self.bindings:
-            if b.kind is TagKind.ENTITY_END:
-                return b
-        return None
+        return self._end
 
     def begin_binding_for_type(self, entity_type: str) -> TagBinding:
-        for b in self.bindings:
-            if b.kind is TagKind.ENTITY_BEGIN and b.entity_type == entity_type:
-                return b
-        raise UnknownToken(f"no entity-begin tag bound for type {entity_type!r}")
+        try:
+            return self._begin_by_type[entity_type]
+        except KeyError:
+            raise UnknownToken(f"no entity-begin tag bound for type {entity_type!r}") from None
 
     def speaker_change_binding(self) -> TagBinding | None:
-        for b in self.bindings:
-            if b.kind is TagKind.SPEAKER_CHANGE:
-                return b
-        return None
+        return self._speaker_change
+
+    def intent_binding(self, name: str) -> TagBinding | None:
+        """The intent tag whose name (surface without decoration) is `name`."""
+        return self._intent_by_name.get(name)
 
     def __eq__(self, other) -> bool:
         return (
@@ -267,7 +277,7 @@ def encode_tagged_text(registry: TagRegistry, text: str) -> list[int]:
         if binding is not None:
             ids.append(binding.token_id)
             continue
-        token_id = vocab._id_by_surface.get(piece)
+        token_id = vocab.id_of(piece) if piece in vocab else None
         if token_id is None or vocab.role_of(token_id) is not TokenRole.TRANSCRIPTION:
             raise UnknownToken(f"surface {piece!r} is neither a bound tag nor a word")
         ids.append(token_id)

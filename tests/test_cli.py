@@ -129,6 +129,14 @@ class TestEvalSemantics:
             "--vocab", str(data / "vocab.json"), "--out", str(tmp_path / "s"),
         ]) == 2
 
+    def test_hypothesis_id_absent_from_reference_is_a_data_error(self, pipeline, tmp_path):
+        data = pipeline["data"]
+        assert main([
+            "eval", "--ref", str(data / "manifest_heldout.jsonl"),
+            "--hyp", str(data / "manifest.jsonl"),
+            "--vocab", str(data / "vocab.json"), "--out", str(tmp_path / "s"),
+        ]) == 2
+
 
 class TestDecodeEmissions:
     def write_one_hot(self, path, labels, registry):
@@ -306,6 +314,34 @@ class TestDataErrors:
         assert main([
             "timeline", "--emissions", str(bad),
             "--vocab", str(vocab_path), "--out", str(tmp_path / "o"),
+        ]) == 2
+
+    @pytest.mark.parametrize("bad", ["narrow", "nan"])
+    def test_unusable_emission_file(self, tmp_path, calendar_registry, bad):
+        if bad == "narrow":
+            probs = np.eye(10)[[0, 9, 1]]  # its blank id 9 is a word of the vocabulary
+        else:
+            v_total = calendar_registry.vocab.v_total
+            probs = np.full((2, v_total), 1 / v_total)
+            probs[1, 0] = np.nan
+        vocab_path = tmp_path / "vocab.json"
+        c.save_vocab(calendar_registry, vocab_path)
+        path = tmp_path / "e.ctcl"
+        c.write_emission_file(path, probs, EMISSION_KIND_PROBS)
+        assert main([
+            "decode", "--emissions", str(path),
+            "--vocab", str(vocab_path), "--out", str(tmp_path / "o"),
+        ]) == 2
+
+    def test_model_of_the_wrong_width(self, pipeline, tmp_path):
+        data = pipeline["data"]
+        v_total = c.load_vocab(data / "vocab.json").vocab.v_total
+        model = tmp_path / "model.json"
+        c.save_model(c.ToyModel.init(16, v_total - 1, np.random.default_rng(0)), model)
+        assert main([
+            "decode", "--model", str(model),
+            "--manifest", str(data / "manifest_heldout.jsonl"),
+            "--vocab", str(data / "vocab.json"), "--out", str(tmp_path / "o"),
         ]) == 2
 
     def test_unknown_word_in_manifest(self, tmp_path, calendar_registry):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctctag as c
+from ctctag.formats import EMISSION_KIND_PROBS
 
 UNIFORM_2x3 = c.EmissionMatrix(np.full((2, 3), 1.0 / 3.0))
 
@@ -58,6 +59,19 @@ class TestEmissionMatrix:
     def test_from_unnormalized_rejects_nonpositive_rows(self):
         with pytest.raises(ValueError):
             c.EmissionMatrix.from_unnormalized(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("source", ["probabilities", "logits", "ctcl"])
+    def test_nan_is_rejected(self, source, tmp_path):
+        rows = np.array([[0.5, 0.5], [np.nan, 0.5]])
+        with pytest.raises(ValueError):
+            if source == "probabilities":
+                c.EmissionMatrix(rows)
+            elif source == "logits":
+                c.EmissionMatrix.from_logits(rows)
+            else:
+                path = tmp_path / "nan.ctcl"
+                c.write_emission_file(path, rows, EMISSION_KIND_PROBS)
+                c.load_emission_matrix(path)
 
 
 class TestPathProbability:

@@ -143,6 +143,9 @@ class TestEmissionReadErrors:
         path.write_bytes(struct.pack("<4sHBBII", b"CTCL", 1, 0, 0, 0, 3))
         with pytest.raises(c.FormatError):
             c.read_emission_file(path)
+        path.write_bytes(struct.pack("<4sHBBII", b"CTCL", 1, 0, 0, 2, 1) + b"\x00" * 8)
+        with pytest.raises(c.FormatError):
+            c.read_emission_file(path)
 
     def test_probability_rows_checked_on_read(self, tmp_path):
         path = tmp_path / "sums.ctcl"
@@ -227,6 +230,12 @@ class TestFeatureFiles:
         trailing.write_bytes(struct.pack("<4sHII", b"CTCF", 1, 1, 1) + b"\x00" * 8)
         with pytest.raises(c.FormatError):
             c.read_feature_file(trailing)
+
+        for t_frames, dim in [(0, 2), (2, 0)]:
+            zero = tmp_path / f"zero_{t_frames}_{dim}.ctcf"
+            zero.write_bytes(struct.pack("<4sHII", b"CTCF", 1, t_frames, dim))
+            with pytest.raises(c.FormatError):
+                c.read_feature_file(zero)
 
     def test_rejects_bad_shape(self, tmp_path):
         with pytest.raises(c.ShapeError):
