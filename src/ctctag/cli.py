@@ -71,8 +71,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def vocab_flag(p):
-        p.add_argument("--vocab", "--registry", dest="vocab", required=True,
-                       help="vocabulary + tag binding file")
+        p.add_argument("--vocab", required=True, help="vocabulary + tag binding file")
 
     p = sub.add_parser("gen-data", help="generate a synthetic tagged corpus")
     p.add_argument("--out", required=True, help="output directory")

@@ -3,12 +3,14 @@
 Per-frame token distributions define a distribution over frame-length paths;
 the collapse map (merge adjacent repeats, then drop blanks) sends paths to
 label sequences, and the probability of a label sequence is the sum over all
-paths that collapse to it. The efficient evaluation runs over the
-blank-interleaved label sequence with one alpha (forward) routine, which
-yields the sequence probability for both the loss and the gradient, and one
-beta (backward) routine, which only the gradient needs. Both stay in log
-space throughout (pure log-sum-exp, no per-frame rescaling) so they can be
-compared exactly against the brute-force path enumeration.
+paths that collapse to it. The efficient evaluation runs one log-space
+recursion over the blank-interleaved label sequence. Run forward it gives
+the alphas, and with them the sequence probability for both the loss and the
+gradient; run over the time- and state-reversed lattice (the extended
+sequence of the reversed labels) it gives the betas, which only the gradient
+needs. It stays in log space throughout (pure log-sum-exp, no per-frame
+rescaling) so it can be compared exactly against the brute-force path
+enumeration.
 
 Everything here is 64-bit; token ids are plain ints with the blank id taken
 from the emission width context (callers pass it explicitly to `collapse`).
@@ -20,13 +22,8 @@ from itertools import groupby, product
 
 import numpy as np
 
-from .errors import (
-    BlankInLabelSequence,
-    InfeasibleAlignment,
-    ShapeError,
-    TooLargeForOracle,
-    UnknownToken,
-)
+from .errors import InfeasibleAlignment, ShapeError, TooLargeForOracle, UnknownToken
+from .vocab import check_label_ids
 
 ROW_SUM_TOL = 1e-9
 BRUTE_FORCE_PATH_LIMIT = 10**7
@@ -48,9 +45,8 @@ class EmissionMatrix:
         # written so that NaN, which fails every comparison, is rejected too
         if not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError("emission entries must lie in [0, 1]")
-        row_sums = arr.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
-            worst = float(np.max(np.abs(row_sums - 1.0)))
+        if not rows_sum_to_one(arr, ROW_SUM_TOL):
+            worst = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
             raise ValueError(f"emission rows must sum to 1 within {ROW_SUM_TOL}, off by {worst}")
         arr.setflags(write=False)
         self.probs = arr
@@ -95,20 +91,16 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def _check_labels(labels, v_total: int, blank_id: int) -> list[int]:
-    out = []
-    for token_id in labels:
-        token_id = int(token_id)
-        if not 0 <= token_id < v_total:
-            raise UnknownToken(f"label id {token_id} out of range 0..{v_total - 1}")
-        if token_id == blank_id:
-            raise BlankInLabelSequence("label sequences must not contain the blank id")
-        out.append(token_id)
-    return out
+def rows_sum_to_one(rows: np.ndarray, tol: float) -> bool:
+    """Whether every row of a 2-D array sums to 1 within tol (never for a
+    NaN row, since NaN fails the comparison)."""
+    return bool(np.all(np.abs(rows.sum(axis=1) - 1.0) <= tol))
 
 
-def _adjacent_repeats(labels: list[int]) -> int:
-    return sum(1 for a, b in zip(labels, labels[1:]) if a == b)
+def min_frames(labels) -> int:
+    """Fewest frames a path collapsing to `labels` needs: one per label plus
+    a separating blank between each pair of equal neighbours."""
+    return len(labels) + sum(1 for a, b in zip(labels, labels[1:]) if a == b)
 
 
 def path_probability(emissions: EmissionMatrix, path) -> float:
@@ -136,7 +128,7 @@ def sequence_probability_bruteforce(emissions: EmissionMatrix, labels) -> float:
     t_frames, v_total = emissions.t_frames, emissions.v_total
     if v_total**t_frames > BRUTE_FORCE_PATH_LIMIT:
         raise TooLargeForOracle(f"{v_total}^{t_frames} paths exceed the oracle guard")
-    target = _check_labels(labels, v_total, emissions.blank_id)
+    target = check_label_ids(labels, v_total)
     probs = emissions.probs
     total = 0.0
     for path in product(range(v_total), repeat=t_frames):
@@ -148,76 +140,44 @@ def sequence_probability_bruteforce(emissions: EmissionMatrix, labels) -> float:
     return total
 
 
-def _extended_sequence(labels: list[int], blank_id: int) -> np.ndarray:
-    ext = np.full(2 * len(labels) + 1, blank_id, dtype=np.int64)
-    ext[1::2] = labels
-    return ext
+def _lattice_inputs(log_probs: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The blank-interleaved label sequence and its emission columns.
+
+    Validates the label ids and raises InfeasibleAlignment unless some path
+    of T frames can collapse to them.
+    """
+    t_frames, v_total = log_probs.shape
+    target = check_label_ids(labels, v_total)
+    need = min_frames(target)
+    if t_frames < need:
+        raise InfeasibleAlignment(f"{len(target)} labels need {need} frames, got {t_frames}")
+    ext = np.full(2 * len(target) + 1, v_total - 1, dtype=np.int64)
+    ext[1::2] = target
+    return ext, log_probs[:, ext]
 
 
-def _alphas_log(log_probs_ext: np.ndarray, skip_into: np.ndarray) -> tuple[np.ndarray, float]:
-    """Log-space alpha lattice over the extended sequence and the sequence
-    log-probability."""
-    t_frames, n_states = log_probs_ext.shape
-    alphas = np.full((t_frames, n_states), -np.inf)
-    alphas[0, 0] = log_probs_ext[0, 0]
-    if n_states > 1:
-        alphas[0, 1] = log_probs_ext[0, 1]
-    for t in range(1, t_frames):
-        prev = alphas[t - 1]
-        acc = np.logaddexp(prev, np.concatenate(([-np.inf], prev[:-1])))
-        if n_states > 2:
-            skip = np.concatenate(([-np.inf, -np.inf], prev[:-2]))
-            acc = np.where(skip_into, np.logaddexp(acc, skip), acc)
-        alphas[t] = acc + log_probs_ext[t]
-    if n_states > 1:
-        log_p = float(np.logaddexp(alphas[-1, -1], alphas[-1, -2]))
-    else:
-        log_p = float(alphas[-1, -1])
-    return alphas, log_p
+def _lattice_log(log_probs_ext: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """Log-mass reaching each state of the extended sequence `ext` at each
+    frame, before that frame's own emission.
 
-
-def _betas_log(log_probs_ext: np.ndarray, skip_into: np.ndarray) -> np.ndarray:
-    """Log-space beta lattice over the extended sequence.
-
-    Beta excludes the emission at its own frame, so alpha[t] + beta[t]
-    log-sum-exps to the sequence log-probability at every t.
+    Paths start in the first two states. Each frame a path stays, moves one
+    state on, or skips the blank before a label that differs from the label
+    two states back. Adding `log_probs_ext` gives the alphas. Run on the time-
+    and state-reversed lattice, whose extended sequence is that of the
+    reversed labels, the same recursion gives the betas, which exclude the
+    emission at their own frame.
     """
     t_frames, n_states = log_probs_ext.shape
-    betas = np.full((t_frames, n_states), -np.inf)
-    betas[t_frames - 1, n_states - 1] = 0.0
-    if n_states > 1:
-        betas[t_frames - 1, n_states - 2] = 0.0
-    for t in range(t_frames - 2, -1, -1):
-        nxt = betas[t + 1] + log_probs_ext[t + 1]
-        acc = np.logaddexp(nxt, np.concatenate((nxt[1:], [-np.inf])))
-        if n_states > 2:
-            # skip s -> s+2 is allowed exactly where entering s+2 by skip is
-            skip = np.concatenate((nxt[2:], [-np.inf, -np.inf]))
-            from_skip = np.concatenate((skip_into[2:], [False, False]))
-            acc = np.where(from_skip, np.logaddexp(acc, skip), acc)
-        betas[t] = acc
-    return betas
-
-
-def _prepare(emissions_log: np.ndarray, labels: list[int], blank_id: int):
-    ext = _extended_sequence(labels, blank_id)
-    n_states = len(ext)
     skip_into = np.zeros(n_states, dtype=bool)
-    if n_states > 2:
-        skip_into[2:] = (ext[2:] != blank_id) & (ext[2:] != ext[:-2])
-    return ext, skip_into, emissions_log[:, ext]
-
-
-def _feasible_target(labels, t_frames: int, v_total: int) -> list[int]:
-    """Validated label ids; InfeasibleAlignment unless some path of t_frames
-    frames can collapse to them."""
-    target = _check_labels(labels, v_total, v_total - 1)
-    repeats = _adjacent_repeats(target)
-    if t_frames < len(target) + repeats:
-        raise InfeasibleAlignment(
-            f"{len(target)} labels with {repeats} repeats do not fit in {t_frames} frames"
-        )
-    return target
+    skip_into[2:] = ext[2:] != ext[:-2]  # false at blanks: two back is a blank too
+    lattice = np.full((t_frames, n_states), -np.inf)
+    lattice[0, :2] = 0.0
+    prev = np.full(n_states + 2, -np.inf)  # the states two and one before state 0 stay empty
+    for t in range(1, t_frames):
+        np.add(lattice[t - 1], log_probs_ext[t - 1], out=prev[2:])
+        acc = np.logaddexp(prev[2:], prev[1:-1])
+        lattice[t] = np.where(skip_into, np.logaddexp(acc, prev[:-2]), acc)
+    return lattice
 
 
 def ctc_neg_log_likelihood(emissions: EmissionMatrix, labels) -> float:
@@ -227,31 +187,38 @@ def ctc_neg_log_likelihood(emissions: EmissionMatrix, labels) -> float:
     the labels; returns +inf when the alignment is feasible but every path has
     probability zero.
     """
-    target = _feasible_target(labels, emissions.t_frames, emissions.v_total)
     with np.errstate(divide="ignore"):
         log_probs = np.log(emissions.probs)
-    _, skip_into, log_probs_ext = _prepare(log_probs, target, emissions.blank_id)
-    _, log_p = _alphas_log(log_probs_ext, skip_into)
-    return -log_p
+    ext, log_probs_ext = _lattice_inputs(log_probs, labels)
+    alphas = _lattice_log(log_probs_ext, ext) + log_probs_ext
+    return -float(np.logaddexp.reduce(alphas[-1, -2:]))
 
 
 def nll_and_gradient(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Loss and its gradient w.r.t. pre-softmax scores, in one pass."""
+    """Loss and its gradient w.r.t. pre-softmax scores, in one pass.
+
+    Raises ValueError when the loss is not finite: NaN or +inf logits, or
+    labels that every path gives probability zero.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ShapeError(f"logits must be 2-D, got shape {logits.shape}")
     t_frames, v_total = logits.shape
     if t_frames < 1 or v_total < 2:
         raise ShapeError(f"logits need T >= 1 and V_total >= 2, got {logits.shape}")
-    target = _feasible_target(labels, t_frames, v_total)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_norm
     probs = np.exp(log_probs)
 
-    ext, skip_into, log_probs_ext = _prepare(log_probs, target, v_total - 1)
-    alphas, log_p = _alphas_log(log_probs_ext, skip_into)
-    betas = _betas_log(log_probs_ext, skip_into)
+    ext, log_probs_ext = _lattice_inputs(log_probs, labels)
+    alphas = _lattice_log(log_probs_ext, ext) + log_probs_ext
+    log_p = float(np.logaddexp.reduce(alphas[-1, -2:]))
+    if not np.isfinite(log_p):
+        raise ValueError(
+            f"CTC log-probability is {log_p}: non-finite logits or a zero-probability target"
+        )
+    betas = _lattice_log(log_probs_ext[::-1, ::-1], ext[::-1])[::-1, ::-1]
 
     # occupancy: gamma[t, k] = sum over states with label k of exp(a + b - log_p)
     contrib = np.exp(alphas + betas - log_p)

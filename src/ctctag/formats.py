@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ctc import EmissionMatrix
+from .ctc import EmissionMatrix, rows_sum_to_one
 from .errors import FormatError, ShapeError, TruncatedFile, UnsupportedVersion
 
 EMISSION_MAGIC = b"CTCL"
@@ -47,8 +47,7 @@ def write_emission_file(path: str | Path, array: np.ndarray, kind: int) -> None:
         raise ShapeError(f"emissions need V_total >= 2, got {arr.shape}")
     narrowed = arr.astype("<f4")
     if kind == EMISSION_KIND_PROBS:
-        sums = narrowed.astype(np.float64).sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > STORED_ROW_SUM_TOL):
+        if not rows_sum_to_one(narrowed.astype(np.float64), STORED_ROW_SUM_TOL):
             raise ValueError("probability rows must sum to 1 within the storage tolerance")
     header = _EMISSION_HEADER.pack(
         EMISSION_MAGIC, FORMAT_VERSION, kind, 0, arr.shape[0], arr.shape[1]
@@ -98,8 +97,7 @@ def read_emission_file(path: str | Path) -> tuple[np.ndarray, int]:
     (kind, _), arr = _read_rows(path, _EMISSION_HEADER, EMISSION_MAGIC, "emission",
                                 "V_total", 2, _check_emission_fields)
     if kind == EMISSION_KIND_PROBS:
-        sums = arr.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > STORED_ROW_SUM_TOL):
+        if not rows_sum_to_one(arr, STORED_ROW_SUM_TOL):
             raise FormatError(f"{path}: probability rows do not sum to 1")
     return arr, kind
 

@@ -309,8 +309,7 @@ def sample_utterance(
     tagged_text = " ".join(tok for seg in segments for tok in seg)
     labels = encode_tagged_text(registry, tagged_text)
     words = _words_of(segments)
-    need = len(labels) + ctc._adjacent_repeats(labels)
-    counts = _sample_frame_counts(cfg, rng, len(words), need)
+    counts = _sample_frame_counts(cfg, rng, len(words), ctc.min_frames(labels))
     features = _render_features(cfg, rng, words, counts, table)
     return tagged_text, labels, features
 
@@ -552,8 +551,14 @@ def train(
     feature_dim = samples[0][0].shape[1]
     rng = np.random.default_rng(cfg.seed)
     if init_model is not None:
-        if init_model.feature_dim != feature_dim or init_model.v_total != v_total:
-            raise ShapeError("init_model does not fit this corpus and vocabulary")
+        found = (init_model.feature_dim, init_model.v_total,
+                 init_model.receptive_field, init_model.hidden_width)
+        wanted = (feature_dim, v_total, cfg.receptive_field, cfg.hidden_width)
+        if found != wanted:
+            raise ShapeError(
+                f"init_model has (feature_dim, v_total, receptive_field, hidden_width) "
+                f"{found}; this corpus, vocabulary and config need {wanted}"
+            )
         model = ToyModel(
             w1=init_model.w1.copy(),
             b1=init_model.b1.copy(),
@@ -572,7 +577,7 @@ def train(
 
     usable = []
     for i, (features, labels) in enumerate(samples):
-        need = len(labels) + ctc._adjacent_repeats(labels)
+        need = ctc.min_frames(labels)
         if features.shape[0] < need:
             warnings.warn(
                 f"skipping utterance {i}: {features.shape[0]} frames cannot "

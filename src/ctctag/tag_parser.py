@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BlankInLabelSequence, NotCanonical, ShapeError, UnknownToken
-from .vocab import TagKind, TagRegistry
+from .errors import NotCanonical, ShapeError, UnknownToken
+from .vocab import TagKind, TagRegistry, check_label_ids
 
 
 class AnomalyKind(Enum):
@@ -59,7 +59,7 @@ def parse(
     to last frame of the entity's words.
     """
     vocab = registry.vocab
-    labels = [int(k) for k in labels]
+    labels = check_label_ids(labels, vocab.v_total)
     if frame_spans is not None:
         frame_spans = list(frame_spans)
         if len(frame_spans) != len(labels):
@@ -88,10 +88,6 @@ def parse(
         entities.append(Entity(entity_type, phrase, (start, end), frame_span))
 
     for i, token_id in enumerate(labels):
-        if not 0 <= token_id < vocab.v_total:
-            raise UnknownToken(f"token id {token_id} out of range")
-        if token_id == vocab.blank_id:
-            raise BlankInLabelSequence(f"blank id at token index {i}")
         binding = registry.binding_for_id(token_id)
         if binding is None:
             words.append(vocab.surface_of(token_id))

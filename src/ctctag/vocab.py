@@ -284,6 +284,19 @@ def encode_tagged_text(registry: TagRegistry, text: str) -> list[int]:
     return ids
 
 
+def check_label_ids(labels, v_total: int) -> list[int]:
+    """Label ids as ints, each in range and none the blank (the last id)."""
+    out = []
+    for i, token_id in enumerate(labels):
+        token_id = int(token_id)
+        if not 0 <= token_id < v_total:
+            raise UnknownToken(f"label id {token_id} at index {i} out of range 0..{v_total - 1}")
+        if token_id == v_total - 1:
+            raise BlankInLabelSequence(f"blank id at label index {i}")
+        out.append(token_id)
+    return out
+
+
 def decode_tokens(registry: TagRegistry, ids: list[int]) -> str:
     """Space-join the surfaces for a blank-free id sequence.
 
@@ -292,11 +305,7 @@ def decode_tokens(registry: TagRegistry, ids: list[int]) -> str:
     """
     vocab = registry.vocab
     pieces: list[str] = []
-    for token_id in ids:
-        if not 0 <= token_id < vocab.v_total:
-            raise UnknownToken(f"token id {token_id} out of range")
-        if token_id == vocab.blank_id:
-            raise BlankInLabelSequence("blank id in a label sequence")
+    for token_id in check_label_ids(ids, vocab.v_total):
         binding = registry.binding_for_id(token_id)
         pieces.append(binding.surface if binding is not None else vocab.surface_of(token_id))
     return " ".join(pieces)

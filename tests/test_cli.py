@@ -1,6 +1,9 @@
 import json
+import os
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,7 +330,9 @@ class TestDataErrors:
         vocab_path = tmp_path / "vocab.json"
         c.save_vocab(calendar_registry, vocab_path)
         path = tmp_path / "e.ctcl"
-        c.write_emission_file(path, probs, EMISSION_KIND_PROBS)
+        # laid out by hand: write_emission_file refuses the NaN rows
+        header = struct.pack("<4sHBBII", b"CTCL", 1, EMISSION_KIND_PROBS, 0, *probs.shape)
+        path.write_bytes(header + probs.astype("<f4").tobytes())
         assert main([
             "decode", "--emissions", str(path),
             "--vocab", str(vocab_path), "--out", str(tmp_path / "o"),
@@ -358,9 +363,12 @@ class TestDataErrors:
 
 
 def test_help_via_interpreter():
+    # the child imports the package under test, installed or not
+    package_root = str(Path(c.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "ctctag.cli", "--help"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     for command in ("gen-data", "train", "decode", "eval", "timeline"):

@@ -257,6 +257,14 @@ class TestGradient:
             grad = c.ctc_gradient(logits, labels)
             fd = finite_difference_gradient(logits, labels)
             assert np.max(np.abs(grad - fd)) <= 1e-6
+        # edges of the reversed (beta) lattice: no labels, one frame, a repeat
+        # at one end only (so reversing the labels moves it) in exactly its
+        # minimum frame count, and a target filling every frame
+        for t_frames, labels in ((4, []), (1, []), (1, [0]), (4, [1, 1, 0]), (4, [0, 2, 1, 2])):
+            logits = rng.normal(size=(t_frames, 4))
+            grad = c.ctc_gradient(logits, labels)
+            fd = finite_difference_gradient(logits, labels)
+            assert np.max(np.abs(grad - fd)) <= 1e-6
 
     def test_vanishes_at_near_delta_optimum(self):
         labels = [0, 2, 1]
@@ -273,6 +281,14 @@ class TestGradient:
             c.nll_and_gradient(logits, [2])
         with pytest.raises(c.ShapeError):
             c.nll_and_gradient(np.zeros(3), [0])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_loss_is_an_error(self):
+        # a NaN logit, or a target every path gives probability zero, would
+        # otherwise return a NaN gradient
+        for logits in ([[np.nan, 0.0]], [[-np.inf, 0.0]]):
+            with pytest.raises(ValueError):
+                c.nll_and_gradient(np.array(logits), [0])
 
     def test_descent_direction(self):
         # one small step against the gradient must not increase the loss

@@ -70,10 +70,9 @@ class TestEmissionWriteValidation:
             )
 
     def test_rejects_unnormalized_probability_rows(self, tmp_path):
-        with pytest.raises(ValueError):
-            c.write_emission_file(
-                tmp_path / "x.ctcl", np.array([[0.5, 0.6]]), EMISSION_KIND_PROBS
-            )
+        for rows in ([[0.5, 0.6]], [[np.nan, 0.5]]):
+            with pytest.raises(ValueError):
+                c.write_emission_file(tmp_path / "x.ctcl", np.array(rows), EMISSION_KIND_PROBS)
 
     def test_logits_rows_are_unconstrained(self, tmp_path):
         c.write_emission_file(
@@ -149,10 +148,11 @@ class TestEmissionReadErrors:
 
     def test_probability_rows_checked_on_read(self, tmp_path):
         path = tmp_path / "sums.ctcl"
-        bad = np.array([[0.9, 0.9]], dtype="<f4")
-        path.write_bytes(struct.pack("<4sHBBII", b"CTCL", 1, 0, 0, 1, 2) + bad.tobytes())
-        with pytest.raises(c.FormatError):
-            c.read_emission_file(path)
+        for rows in ([[0.9, 0.9]], [[np.nan, 0.5]]):
+            bad = np.array(rows, dtype="<f4")
+            path.write_bytes(struct.pack("<4sHBBII", b"CTCL", 1, 0, 0, 1, 2) + bad.tobytes())
+            with pytest.raises(c.FormatError):
+                c.read_emission_file(path)
 
 
 class TestLoadEmissionMatrix:

@@ -354,6 +354,15 @@ class TestTrain:
         wrong = c.ToyModel.init(4, registry.vocab.v_total, np.random.default_rng(0))
         with pytest.raises(c.ShapeError):
             c.train(samples, registry.vocab.v_total, self.train_config(), init_model=wrong)
+        # the corpus fits, but the config asks for another network
+        feature_dim = samples[0][0].shape[1]
+        small = c.ToyModel.init(
+            feature_dim, registry.vocab.v_total, np.random.default_rng(0), hidden_width=8
+        )
+        for receptive_field, hidden_width in ((7, 32), (7, 8), (5, 32)):
+            cfg = self.train_config(receptive_field=receptive_field, hidden_width=hidden_width)
+            with pytest.raises(c.ShapeError):
+                c.train(samples, registry.vocab.v_total, cfg, init_model=small)
 
     def test_warm_start_continues_from_given_weights(self, small_corpus):
         _, registry, items = small_corpus
