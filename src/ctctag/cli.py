@@ -24,6 +24,7 @@ from .synth import (
     build_registry,
     gen_corpus,
     load_model,
+    manifest_feature_path,
     read_manifest,
     save_model,
     train_from_manifest,
@@ -211,9 +212,8 @@ def _cmd_decode(args) -> None:
     inputs: list[tuple[str, str, object]] = []
     if features_mode:
         model = load_model(args.model)
-        base = Path(args.manifest).parent
         for record in read_manifest(args.manifest):
-            feats = read_feature_file(base / record.feature_path)
+            feats = read_feature_file(manifest_feature_path(args.manifest, record.feature_path))
             inputs.append((record.uid, record.feature_path, model.predict(feats)))
     else:
         for path in args.emissions:

@@ -12,6 +12,14 @@ needs. It stays in log space throughout (pure log-sum-exp, no per-frame
 rescaling) so it can be compared exactly against the brute-force path
 enumeration.
 
+The recursion is batched: a training minibatch's lattices, alphas and betas
+alike, are stacked into one (T_max, 2B, S_max) array, so its frame loop runs
+once per batch. Frames past an utterance's end and states past its extended
+sequence are padding with -inf emissions; since paths only move forward in
+time and state, padding never feeds a real cell, and every real cell is
+computed exactly as for that utterance alone. A single utterance is the B=1
+case of the same code.
+
 Everything here is 64-bit; token ids are plain ints with the blank id taken
 from the emission width context (callers pass it explicitly to `collapse`).
 """
@@ -22,7 +30,13 @@ from itertools import groupby, product
 
 import numpy as np
 
-from .errors import InfeasibleAlignment, ShapeError, TooLargeForOracle, UnknownToken
+from .errors import (
+    BlankInLabelSequence,
+    InfeasibleAlignment,
+    ShapeError,
+    TooLargeForOracle,
+    UnknownToken,
+)
 from .vocab import check_label_ids
 
 ROW_SUM_TOL = 1e-9
@@ -140,44 +154,98 @@ def sequence_probability_bruteforce(emissions: EmissionMatrix, labels) -> float:
     return total
 
 
-def _lattice_inputs(log_probs: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
-    """The blank-interleaved label sequence and its emission columns.
+def _layout(labels, frame_counts, v_total: int, batched: bool) -> tuple[np.ndarray, np.ndarray]:
+    """State counts (B,) and blank-interleaved label sequences (B, S_max) of
+    a batch, states past an utterance's own padded with id v_total.
 
     Validates the label ids and raises InfeasibleAlignment unless some path
-    of T frames can collapse to them.
+    of each utterance's frames can collapse to its labels; in a batch the
+    error names the utterance.
     """
-    t_frames, v_total = log_probs.shape
-    target = check_label_ids(labels, v_total)
-    need = min_frames(target)
-    if t_frames < need:
-        raise InfeasibleAlignment(f"{len(target)} labels need {need} frames, got {t_frames}")
-    ext = np.full(2 * len(target) + 1, v_total - 1, dtype=np.int64)
-    ext[1::2] = target
-    return ext, log_probs[:, ext]
+    targets = []
+    for b, (seq, t_frames) in enumerate(zip(labels, frame_counts)):
+        try:
+            target = check_label_ids(seq, v_total)
+            need = min_frames(target)
+            if t_frames < need:
+                raise InfeasibleAlignment(f"{len(target)} labels need {need} frames, got {t_frames}")
+        except (UnknownToken, BlankInLabelSequence, InfeasibleAlignment) as exc:
+            if not batched:
+                raise
+            raise type(exc)(f"utterance {b}: {exc}") from None
+        targets.append(target)
+    n_states = np.array([2 * len(target) + 1 for target in targets])
+    ext = np.full((len(targets), n_states.max()), v_total, dtype=np.int64)
+    for b, target in enumerate(targets):
+        ext[b, : n_states[b]] = v_total - 1
+        ext[b, 1 : n_states[b] : 2] = target
+    return n_states, ext
 
 
-def _lattice_log(log_probs_ext: np.ndarray, ext: np.ndarray) -> np.ndarray:
-    """Log-mass reaching each state of the extended sequence `ext` at each
-    frame, before that frame's own emission.
+def _padded_flat(log_probs: np.ndarray) -> np.ndarray:
+    """The stacked log-probabilities with one more row and column of -inf,
+    flattened; `_emission_index` points padding there."""
+    padded = np.full((log_probs.shape[0] + 1, log_probs.shape[1] + 1), -np.inf)
+    padded[:-1, :-1] = log_probs
+    return padded.ravel()
+
+
+def _emission_index(starts: np.ndarray, frame_counts: np.ndarray, ext: np.ndarray,
+                    v_total: int, reverse: bool = False) -> np.ndarray:
+    """(T_max, B, S_max) index into `_padded_flat` of each lattice cell's
+    emission: utterance b's frame t is stacked row starts[b] + t, or
+    starts[b] + T_b - 1 - t when reversed; padded frames read the -inf row
+    and padded states (id v_total) the -inf column."""
+    t = np.arange(frame_counts.max())[:, None]
+    rows = starts + frame_counts - 1 - t if reverse else starts + t
+    rows = np.where(t < frame_counts, rows, frame_counts.sum())
+    return rows[:, :, None] * (v_total + 1) + ext
+
+
+def _reversed_states(ext: np.ndarray, n_states: np.ndarray) -> np.ndarray:
+    """Each row of `ext` with its first n_states entries reversed (the
+    extended sequence of the reversed labels), padding kept."""
+    back = n_states[:, None] - 1 - np.arange(ext.shape[1])
+    return np.where(back >= 0, np.take_along_axis(ext, np.maximum(back, 0), axis=1), ext)
+
+
+def _lattice_log(log_probs_ext: np.ndarray, ext: np.ndarray, frame_counts: np.ndarray) -> np.ndarray:
+    """Log-mass reaching each state at each frame, before that frame's own
+    emission, for a (T_max, R, S_max) stack of R lattices over the extended
+    sequences `ext` (R, S_max), row r running for frame_counts[r] frames.
+    Rows must come longest first; frames past a row's own stay -inf.
 
     Paths start in the first two states. Each frame a path stays, moves one
     state on, or skips the blank before a label that differs from the label
     two states back. Adding `log_probs_ext` gives the alphas. Run on the time-
     and state-reversed lattice, whose extended sequence is that of the
     reversed labels, the same recursion gives the betas, which exclude the
-    emission at their own frame.
+    emission at their own frame. Padded states (-inf emissions) never feed
+    a real one, since paths only move forward.
     """
-    t_frames, n_states = log_probs_ext.shape
-    skip_into = np.zeros(n_states, dtype=bool)
-    skip_into[2:] = ext[2:] != ext[:-2]  # false at blanks: two back is a blank too
-    lattice = np.full((t_frames, n_states), -np.inf)
-    lattice[0, :2] = 0.0
-    prev = np.full(n_states + 2, -np.inf)  # the states two and one before state 0 stay empty
+    t_frames, n_rows, n_states = log_probs_ext.shape
+    skip_into = np.zeros(ext.shape, dtype=bool)
+    skip_into[:, 2:] = ext[:, 2:] != ext[:, :-2]  # false at blanks: two back is a blank too
+    lattice = np.full(log_probs_ext.shape, -np.inf)
+    lattice[0, :, :2] = 0.0
+    prev = np.full((n_rows, n_states + 2), -np.inf)  # the states two and one before state 0 stay empty
+    live = (frame_counts > np.arange(t_frames)[:, None]).sum(axis=1).tolist()
     for t in range(1, t_frames):
-        np.add(lattice[t - 1], log_probs_ext[t - 1], out=prev[2:])
-        acc = np.logaddexp(prev[2:], prev[1:-1])
-        lattice[t] = np.where(skip_into, np.logaddexp(acc, prev[:-2]), acc)
+        n = live[t]  # rows that have frame t
+        np.add(lattice[t - 1, :n], log_probs_ext[t - 1, :n], out=prev[:n, 2:])
+        out = lattice[t, :n]
+        np.logaddexp(prev[:n, 2:], prev[:n, 1:-1], out=out)
+        np.logaddexp(out, prev[:n, :-2], out=out, where=skip_into[:n])
     return lattice
+
+
+def _log_p(alphas: np.ndarray, frame_counts: np.ndarray, n_states: np.ndarray) -> np.ndarray:
+    """Per-utterance log-probability: the mass in the last two states (the
+    last one alone with no labels) at the last frame."""
+    b = np.arange(len(frame_counts))
+    last = alphas[frame_counts - 1, b]
+    final = last[b, n_states - 1]
+    return np.where(n_states > 1, np.logaddexp(last[b, n_states - 2], final), final)
 
 
 def ctc_neg_log_likelihood(emissions: EmissionMatrix, labels) -> float:
@@ -189,42 +257,105 @@ def ctc_neg_log_likelihood(emissions: EmissionMatrix, labels) -> float:
     """
     with np.errstate(divide="ignore"):
         log_probs = np.log(emissions.probs)
-    ext, log_probs_ext = _lattice_inputs(log_probs, labels)
-    alphas = _lattice_log(log_probs_ext, ext) + log_probs_ext
-    return -float(np.logaddexp.reduce(alphas[-1, -2:]))
+    frame_counts = np.array([emissions.t_frames])
+    n_states, ext = _layout([labels], frame_counts, emissions.v_total, batched=False)
+    index = _emission_index(np.zeros(1, dtype=np.int64), frame_counts, ext, emissions.v_total)
+    log_probs_ext = _padded_flat(log_probs)[index]
+    alphas = _lattice_log(log_probs_ext, ext, frame_counts) + log_probs_ext
+    return -float(_log_p(alphas, frame_counts, n_states)[0])
 
 
-def nll_and_gradient(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+def _utterance(b: int, batched: bool) -> str:
+    return f"utterance {b}: " if batched else ""
+
+
+def nll_and_gradient(logits: np.ndarray, labels, frame_counts=None) -> tuple[float, np.ndarray]:
     """Loss and its gradient w.r.t. pre-softmax scores, in one pass.
 
-    Raises ValueError when the loss is not finite: NaN or +inf logits, or
-    labels that every path gives probability zero.
+    With `frame_counts` (one per utterance), `logits` is the row-stack of a
+    batch's utterances and `labels` their B label sequences; the loss is the
+    sum of their NLLs and the gradient is that of the sum w.r.t. the stacked
+    logits. All B lattices run through one recursion. Without it, `logits`
+    and `labels` are one utterance's.
+
+    Raises ValueError when a loss is not finite: NaN or infinite logits, or
+    labels that every path gives probability zero. In a batch, this and the
+    label and feasibility errors name the utterance.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ShapeError(f"logits must be 2-D, got shape {logits.shape}")
-    t_frames, v_total = logits.shape
-    if t_frames < 1 or v_total < 2:
+    t_total, v_total = logits.shape
+    if t_total < 1 or v_total < 2:
         raise ShapeError(f"logits need T >= 1 and V_total >= 2, got {logits.shape}")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_norm
-    probs = np.exp(log_probs)
+    batched = frame_counts is not None
+    if batched:
+        frame_counts = np.asarray(frame_counts, dtype=np.int64)
+        if frame_counts.ndim != 1 or len(frame_counts) != len(labels) or len(labels) < 1:
+            raise ShapeError(
+                f"need one frame count per label sequence, got {frame_counts.shape} "
+                f"for {len(labels)}"
+            )
+        if frame_counts.min() < 1 or frame_counts.sum() != t_total:
+            raise ShapeError(
+                f"frame counts must be >= 1 and sum to the {t_total} logit rows, "
+                f"got {frame_counts.tolist()}"
+            )
+    else:
+        labels, frame_counts = [labels], np.array([t_total])
+    # NaN or +inf logits, or a row of -inf, make the whole row NaN; that is
+    # reported below instead of warned about here
+    with np.errstate(invalid="ignore"):
+        log_probs = logits - logits.max(axis=1, keepdims=True)
+        probs = np.exp(log_probs)
+        log_norm = np.log(probs.sum(axis=1, keepdims=True))
+    log_probs -= log_norm
+    np.exp(log_probs, out=probs)
 
-    ext, log_probs_ext = _lattice_inputs(log_probs, labels)
-    alphas = _lattice_log(log_probs_ext, ext) + log_probs_ext
-    log_p = float(np.logaddexp.reduce(alphas[-1, -2:]))
-    if not np.isfinite(log_p):
+    n_states, ext = _layout(labels, frame_counts, v_total, batched)
+    ends = np.cumsum(frame_counts)
+    nan_rows = np.flatnonzero(np.isnan(log_norm[:, 0]))
+    if len(nan_rows):
+        b = int(np.searchsorted(ends, nan_rows[0], side="right"))
+        raise ValueError(f"{_utterance(b, batched)}CTC log-probability is nan: non-finite logits")
+
+    # longest first, each utterance's lattice beside its reversed one (the
+    # betas'), so the lattices still running at any frame are a prefix
+    order = np.argsort(-frame_counts, kind="stable")
+    counts, n_states, ext = frame_counts[order], n_states[order], ext[order]
+    starts = (ends - frame_counts)[order]
+    ext_back = _reversed_states(ext, n_states)
+    index = np.stack([_emission_index(starts, counts, ext, v_total),
+                      _emission_index(starts, counts, ext_back, v_total, reverse=True)], axis=2)
+    t_max, n_utts, _, s_max = index.shape
+    log_probs_ext = _padded_flat(log_probs)[index]
+    lattice = _lattice_log(log_probs_ext.reshape(t_max, 2 * n_utts, s_max),
+                           np.stack([ext, ext_back], axis=1).reshape(2 * n_utts, s_max),
+                           np.repeat(counts, 2)).reshape(index.shape)
+    alphas = np.add(lattice[:, :, 0], log_probs_ext[:, :, 0], out=lattice[:, :, 0])
+    log_p = np.empty(n_utts)
+    log_p[order] = _log_p(alphas, counts, n_states)
+    zero = np.flatnonzero(log_p == -np.inf)
+    if len(zero):
         raise ValueError(
-            f"CTC log-probability is {log_p}: non-finite logits or a zero-probability target"
+            f"{_utterance(zero[0], batched)}CTC log-probability is -inf: a zero-probability target"
         )
-    betas = _lattice_log(log_probs_ext[::-1, ::-1], ext[::-1])[::-1, ::-1]
 
-    # occupancy: gamma[t, k] = sum over states with label k of exp(a + b - log_p)
-    contrib = np.exp(alphas + betas - log_p)
-    gamma = np.zeros((t_frames, v_total))
-    np.add.at(gamma.T, ext, contrib.T)
-    return -log_p, probs - gamma
+    # betas back in forward order; at padded cells they read some real cell,
+    # harmless since the alphas there are -inf
+    back_t = np.maximum(counts - 1 - np.arange(t_max)[:, None], 0)
+    back_s = np.maximum(n_states[:, None] - 1 - np.arange(s_max), 0)
+    betas = lattice[back_t[:, :, None], np.arange(n_utts)[:, None], 1, back_s]
+
+    # occupancy: gamma[t, k] = sum over states with label k of exp(a + b - log_p),
+    # added in state order; padded cells land in the dropped row and column
+    contrib = np.add(alphas, betas, out=betas)
+    contrib -= log_p[order, None]
+    np.exp(contrib, out=contrib)
+    gamma = np.bincount(index[:, :, 0].ravel(), contrib.ravel(),
+                        minlength=(t_total + 1) * (v_total + 1))
+    probs -= gamma.reshape(t_total + 1, v_total + 1)[:-1, :-1]
+    return sum((-log_p).tolist()), probs
 
 
 def ctc_gradient(logits: np.ndarray, labels) -> np.ndarray:

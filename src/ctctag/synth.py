@@ -17,7 +17,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -361,6 +361,18 @@ def read_manifest(path: str | Path) -> list[UtteranceRecord]:
     return records
 
 
+def manifest_feature_path(manifest_path: str | Path, feature_path: str) -> Path:
+    """The file a manifest's feature path names, relative to the manifest's
+    directory. FormatError if it is absolute or contains '..', since it
+    would then leave that directory."""
+    rel = PurePath(feature_path)
+    if rel.is_absolute() or ".." in rel.parts:
+        raise FormatError(
+            f"{manifest_path}: feature path {feature_path!r} must be relative, without '..'"
+        )
+    return Path(manifest_path).parent / rel
+
+
 # ---------------------------------------------------------------------------
 # model
 
@@ -522,13 +534,12 @@ def load_training_samples(
     manifest_path: str | Path, registry: TagRegistry, strip_tags: bool = False
 ) -> list[tuple[np.ndarray, list[int]]]:
     """Load (features, label ids) pairs; optionally drop tag tokens."""
-    base = Path(manifest_path).parent
     samples = []
     for record in read_manifest(manifest_path):
         labels = encode_tagged_text(registry, record.tagged_text)
         if strip_tags:
             labels = [t for t in labels if registry.binding_for_id(t) is None]
-        features = read_feature_file(base / record.feature_path)
+        features = read_feature_file(manifest_feature_path(manifest_path, record.feature_path))
         samples.append((features, labels))
     return samples
 
@@ -596,17 +607,15 @@ def train(
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = [usable[i] for i in order[start : start + cfg.batch_size]]
-            # one stacked forward pass over the whole batch; CTC terms stay
-            # per-utterance on the ragged label sequences
+            # one stacked forward pass and one CTC lattice over the whole batch
             xs = np.vstack([_windows(f, model.receptive_field) for f, _ in batch])
             hidden = np.tanh(xs @ model.w1 + model.b1)
             logits = hidden @ model.w2 + model.b2
-            bounds = np.cumsum([0] + [f.shape[0] for f, _ in batch])
-            d_logits = np.empty_like(logits)
-            for (lo, hi), (_, labels) in zip(zip(bounds, bounds[1:]), batch):
-                nll, grad = ctc.nll_and_gradient(logits[lo:hi], labels)
-                d_logits[lo:hi] = grad / len(batch)
-                epoch_loss += nll
+            nll, grad = ctc.nll_and_gradient(
+                logits, [labels for _, labels in batch], [f.shape[0] for f, _ in batch]
+            )
+            d_logits = grad / len(batch)
+            epoch_loss += nll
             d_w2 = hidden.T @ d_logits
             d_b2 = d_logits.sum(axis=0)
             d_hidden = (d_logits @ model.w2.T) * (1.0 - hidden**2)

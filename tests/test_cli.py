@@ -11,7 +11,7 @@ import pytest
 import ctctag as c
 from ctctag.cli import main
 from ctctag.formats import EMISSION_KIND_PROBS
-from ctctag.synth import read_manifest
+from ctctag.synth import UtteranceRecord, read_manifest, write_manifest
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +346,26 @@ class TestDataErrors:
         assert main([
             "decode", "--model", str(model),
             "--manifest", str(data / "manifest_heldout.jsonl"),
+            "--vocab", str(data / "vocab.json"), "--out", str(tmp_path / "o"),
+        ]) == 2
+
+    @pytest.mark.parametrize("command", ["train", "decode"])
+    @pytest.mark.parametrize("escape", ["parent", "absolute"])
+    def test_feature_path_leaving_the_manifest_directory(self, pipeline, tmp_path, command, escape):
+        data = pipeline["data"]
+        record = read_manifest(data / "manifest_heldout.jsonl")[0]
+        outside = tmp_path / "outside.ctcf"
+        outside.write_bytes((data / record.feature_path).read_bytes())
+        feature_path = "../outside.ctcf" if escape == "parent" else str(outside)
+        manifest = tmp_path / "inner" / "manifest.jsonl"
+        manifest.parent.mkdir()
+        write_manifest(manifest, [UtteranceRecord(record.uid, record.tagged_text, feature_path)])
+        if command == "train":
+            argv = ["train", "--epochs", "1"]
+        else:
+            argv = ["decode", "--model", str(pipeline["model"] / "model.json")]
+        assert main(argv + [
+            "--manifest", str(manifest),
             "--vocab", str(data / "vocab.json"), "--out", str(tmp_path / "o"),
         ]) == 2
 

@@ -3,10 +3,11 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctctag as c
+from ctctag.ctc import min_frames
 from ctctag.formats import EMISSION_KIND_PROBS
 
 UNIFORM_2x3 = c.EmissionMatrix(np.full((2, 3), 1.0 / 3.0))
@@ -282,7 +283,6 @@ class TestGradient:
         with pytest.raises(c.ShapeError):
             c.nll_and_gradient(np.zeros(3), [0])
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_loss_is_an_error(self):
         # a NaN logit, or a target every path gives probability zero, would
         # otherwise return a NaN gradient
@@ -299,3 +299,64 @@ class TestGradient:
         stepped = logits - 1e-3 * grad
         nll_after = c.ctc_neg_log_likelihood(c.EmissionMatrix.from_logits(stepped), labels)
         assert nll_after < nll
+
+
+# one utterance of a batch: label ids (below the blank), frames beyond the
+# fewest its labels need, and whether a token off its path gets -inf logits
+utterances = st.tuples(
+    st.lists(st.integers(min_value=0, max_value=3), max_size=4),
+    st.integers(min_value=0, max_value=3),
+    st.booleans(),
+)
+
+
+class TestBatch:
+    @given(st.lists(utterances, min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+    @example([([], 0, False), ([1, 1, 0], 0, True), ([2], 3, False)], 0)  # T=1, one-sided repeat
+    @example([([0, 0], 0, False)], 1)  # a batch of one, at its fewest frames
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_per_utterance_calls_bitwise(self, batch, seed):
+        rng = np.random.default_rng(seed)
+        v_total = 6  # labels stop at 3, so token 4 is always off the path
+        logits, labels = [], []
+        for target, extra, off_path in batch:
+            frames = max(1, min_frames(target) + extra)
+            rows = rng.normal(size=(frames, v_total)) * 3
+            if off_path:
+                unused = [k for k in range(v_total - 1) if k not in target]
+                rows[:, rng.choice(unused)] = -np.inf
+            logits.append(rows)
+            labels.append(target)
+        nll, grad = c.nll_and_gradient(np.vstack(logits), labels, [len(x) for x in logits])
+        singles = [c.nll_and_gradient(x, y) for x, y in zip(logits, labels)]
+        assert nll == sum(one for one, _ in singles)
+        assert grad.tobytes() == np.vstack([g for _, g in singles]).tobytes()
+
+    @pytest.mark.parametrize("rows, counts", [
+        (5, [3, 3]),  # sum is not the number of rows
+        (6, [2, 3, 1]),  # three counts for two sequences
+        (6, [6]),  # one count for two sequences
+        (6, [0, 6]),  # an empty utterance
+    ])
+    def test_frame_counts_must_cover_the_logits_one_per_sequence(self, rows, counts):
+        with pytest.raises(c.ShapeError):
+            c.nll_and_gradient(np.zeros((rows, 3)), [[0], [1]], counts)
+
+    @pytest.mark.parametrize("bad, error", [
+        ([5], c.UnknownToken),
+        ([2], c.BlankInLabelSequence),
+        ([0, 0, 0], c.InfeasibleAlignment),
+        ("nan", ValueError),
+        ("zero", ValueError),
+    ])
+    def test_errors_name_the_utterance(self, bad, error):
+        logits = np.zeros((6, 3))
+        labels = [[0], [1], [0]]
+        if bad == "nan":
+            logits[3, 1] = np.nan
+        elif bad == "zero":
+            logits[2:4, 1] = -np.inf
+        else:
+            labels[1] = bad
+        with pytest.raises(error, match="^utterance 1: "):
+            c.nll_and_gradient(logits, labels, [2, 2, 2])
