@@ -100,8 +100,11 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     arr = np.asarray(logits, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"logits must be 2-D, got shape {arr.shape}")
-    shifted = arr - arr.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
+    row_max = arr.max(axis=1, keepdims=True)
+    # +inf, NaN, or a row that is all -inf: the shift below would be NaN
+    if not np.isfinite(row_max).all():
+        raise ValueError("non-finite logits")
+    exp = np.exp(arr - row_max)
     return exp / exp.sum(axis=1, keepdims=True)
 
 

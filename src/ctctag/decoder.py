@@ -3,7 +3,9 @@
 Greedy decoding is frame-local: take the argmax token of every row (ties go
 to the lowest id), then collapse. That locality is what makes the streaming
 variant exact — a label can be committed the moment its argmax run ends,
-and committed labels never retract.
+and committed labels never retract. The streaming decoder keeps the labels
+and spans it reports (the open run last), so a partial result is a copy,
+not a rebuild.
 """
 
 from __future__ import annotations
@@ -36,27 +38,21 @@ class TimelineRow:
     is_blank: bool
 
 
-def _runs(path: list[int]) -> list[tuple[int, int, int]]:
-    """Maximal constant runs of a path as (value, first, last)."""
-    runs = []
-    for t, value in enumerate(path):
-        if runs and runs[-1][0] == value:
-            runs[-1] = (value, runs[-1][1], t)
-        else:
-            runs.append((value, t, t))
-    return runs
-
-
 def greedy_decode(emissions: EmissionMatrix) -> DecodeResult:
     """Per-frame argmax followed by CTC collapse, with frame spans."""
-    path = [int(k) for k in np.argmax(emissions.probs, axis=1)]
+    path = np.argmax(emissions.probs, axis=1).tolist()
     blank_id = emissions.blank_id
     labels: list[int] = []
     spans: list[tuple[int, int]] = []
-    for value, first, last in _runs(path):
+    prev = blank_id
+    for t, value in enumerate(path):
         if value != blank_id:
-            labels.append(value)
-            spans.append((first, last))
+            if value == prev:
+                spans[-1] = (spans[-1][0], t)
+            else:
+                labels.append(value)
+                spans.append((t, t))
+        prev = value
     return DecodeResult(tuple(path), tuple(labels), tuple(spans))
 
 
@@ -64,16 +60,19 @@ class StreamingDecoder:
     """Incremental greedy decoder over probability rows of fixed width.
 
     Feed rows with `push`; each call returns the labels committed by that
-    frame (a run is committed once a different argmax value arrives).
-    `result()` matches `greedy_decode` of all rows seen so far, including the
+    frame (a run is committed once a different argmax value arrives); a row
+    with a NaN entry raises ValueError and is not taken in. `result()`
+    matches `greedy_decode` of all rows seen so far, including the
     still-open run. One instance belongs to one stream; not thread-safe.
     """
 
     def __init__(self, v_total: int | None = None):
         self._v_total = v_total
         self._path: list[int] = []
-        self._run: tuple[int, int, int] | None = None  # (value, first, last)
-        self._committed: list[tuple[int, tuple[int, int]]] = []
+        # the result's labels and spans; the open run is last while it is
+        # not blank, and its span grows with it
+        self._labels: list[int] = []
+        self._spans: list[tuple[int, int]] = []
 
     @property
     def blank_id(self) -> int:
@@ -83,7 +82,8 @@ class StreamingDecoder:
 
     @property
     def committed(self) -> list[tuple[int, tuple[int, int]]]:
-        return list(self._committed)
+        open_run = bool(self._path) and self._path[-1] != self.blank_id
+        return list(zip(self._labels, self._spans))[: len(self._labels) - open_run]
 
     def push(self, row: np.ndarray) -> list[tuple[int, tuple[int, int]]]:
         row = np.asarray(row, dtype=np.float64)
@@ -96,28 +96,26 @@ class StreamingDecoder:
         elif row.shape[0] != self._v_total:
             raise ShapeError(f"row width {row.shape[0]} != stream width {self._v_total}")
 
-        t = len(self._path)
         value = int(np.argmax(row))
+        t = len(self._path)
+        if row[value] != row[value]:  # argmax stops at the first NaN
+            raise ValueError(f"stream row {t} contains NaN")
+        blank_id = self._v_total - 1
+        prev = self._path[-1] if t else blank_id
         self._path.append(value)
-        committed: list[tuple[int, tuple[int, int]]] = []
-        if self._run is not None and self._run[0] == value:
-            self._run = (value, self._run[1], t)
-        else:
-            if self._run is not None and self._run[0] != self.blank_id:
-                committed.append((self._run[0], (self._run[1], self._run[2])))
-            self._run = (value, t, t)
-        self._committed.extend(committed)
+        if value == prev:
+            if value != blank_id:
+                self._spans[-1] = (self._spans[-1][0], t)
+            return []
+        committed = [(prev, self._spans[-1])] if prev != blank_id else []
+        if value != blank_id:
+            self._labels.append(value)
+            self._spans.append((t, t))
         return committed
 
     def result(self) -> DecodeResult:
         """Decode state over all frames seen so far, open run included."""
-        labels = [label for label, _ in self._committed]
-        spans = [span for _, span in self._committed]
-        if self._run is not None and self._run[0] != self.blank_id:
-            value, first, last = self._run
-            labels.append(value)
-            spans.append((first, last))
-        return DecodeResult(tuple(self._path), tuple(labels), tuple(spans))
+        return DecodeResult(tuple(self._path), tuple(self._labels), tuple(self._spans))
 
 
 def check_width(emissions: EmissionMatrix, vocab: Vocabulary) -> None:
@@ -140,21 +138,13 @@ def emit_timeline(
     placeholders show their vocabulary auto-names.
     """
     check_width(emissions, vocab)
-    rows = []
-    for t in range(emissions.t_frames):
-        token_id = int(np.argmax(emissions.probs[t]))
-        binding = registry.binding_for_id(token_id) if registry is not None else None
-        surface = binding.surface if binding is not None else vocab.surface_of(token_id)
-        rows.append(
-            TimelineRow(
-                t=t,
-                token_id=token_id,
-                surface=surface,
-                prob=float(emissions.probs[t, token_id]),
-                is_blank=token_id == emissions.blank_id,
-            )
-        )
-    return rows
+    surfaces = (registry if registry is not None else TagRegistry(vocab)).surfaces
+    probs = emissions.probs
+    return [
+        TimelineRow(t=t, token_id=k, surface=surfaces[k], prob=float(probs[t, k]),
+                    is_blank=k == emissions.blank_id)
+        for t, k in enumerate(np.argmax(probs, axis=1).tolist())
+    ]
 
 
 def blank_fraction(emissions: EmissionMatrix) -> float:

@@ -383,10 +383,8 @@ def _windows(features: np.ndarray, receptive_field: int) -> np.ndarray:
     t_frames, dim = features.shape
     padded = np.zeros((t_frames + 2 * half, dim))
     padded[half : half + t_frames] = features
-    view = np.lib.stride_tricks.sliding_window_view(padded, receptive_field, axis=0)
-    # view is (T, dim, R); put the window axis first so each row is R
-    # consecutive frames laid out contiguously
-    return view.transpose(0, 2, 1).reshape(t_frames, receptive_field * dim)
+    # column block r of row t is frame t + r - half
+    return np.hstack([padded[r : r + t_frames] for r in range(receptive_field)])
 
 
 @dataclass

@@ -58,8 +58,7 @@ def parse(
     label (as produced by the decoder); entity frame spans cover the first
     to last frame of the entity's words.
     """
-    vocab = registry.vocab
-    labels = check_label_ids(labels, vocab.v_total)
+    labels = check_label_ids(labels, registry.vocab.v_total)
     if frame_spans is not None:
         frame_spans = list(frame_spans)
         if len(frame_spans) != len(labels):
@@ -90,7 +89,7 @@ def parse(
     for i, token_id in enumerate(labels):
         binding = registry.binding_for_id(token_id)
         if binding is None:
-            words.append(vocab.surface_of(token_id))
+            words.append(registry.surfaces[token_id])
             word_spans.append(tuple(frame_spans[i]) if frame_spans is not None else None)
         elif binding.kind is TagKind.INTENT:
             if intent is None:

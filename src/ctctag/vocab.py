@@ -5,6 +5,10 @@ tokens first, then placeholder tokens reserved for event tags, then a single
 blank token with the last id. Placeholders start out unbound; binding one to
 a tag surface (intent, entity begin, shared entity end, speaker change) never
 mutates the table, it produces a new registry.
+
+The registry owns the id <-> text table: `TagRegistry.surfaces` gives the
+text of every id (a bound placeholder reads as its tag surface, any other id
+as its vocabulary surface), and encoding inverts it over the non-blank ids.
 """
 
 from __future__ import annotations
@@ -157,7 +161,8 @@ class TagRegistry:
     """Immutable map from tag surfaces to bound placeholder tokens.
 
     Carries the vocabulary it binds into, so parsing and rendering code can
-    resolve both tag and word surfaces from one object.
+    resolve both tag and word surfaces from one object: `surfaces[i]` is the
+    text that id i reads as.
     """
 
     def __init__(self, vocab: Vocabulary, bindings: tuple[TagBinding, ...] = ()):
@@ -171,6 +176,7 @@ class TagRegistry:
         self._begin_by_type: dict[str, TagBinding] = {}
         self._intent_by_name: dict[str, TagBinding] = {}
         end_count = 0
+        surfaces = [surface for surface, _ in vocab.tokens]
         for b in self.bindings:
             if vocab.role_of(b.token_id) is not TokenRole.PLACEHOLDER:
                 raise InvalidToken(f"token id {b.token_id} is not a placeholder")
@@ -189,8 +195,14 @@ class TagRegistry:
                 self._intent_by_name.setdefault(b.name, b)
             self._by_surface[b.surface] = b
             self._by_id[b.token_id] = b
+            surfaces[b.token_id] = b.surface
         if end_count > 1:
             raise DuplicateEndTag("only one shared entity-end tag is allowed")
+        self.surfaces = tuple(surfaces)
+        # inverse over the non-blank ids; a tag surface that clashes with
+        # another id's text resolves to the tag
+        self._id_by_text = {text: i for i, text in enumerate(surfaces[:-1])}
+        self._id_by_text.update((b.surface, b.token_id) for b in self.bindings)
 
     def binding_for_surface(self, surface: str) -> TagBinding | None:
         return self._by_surface.get(surface)
@@ -266,22 +278,15 @@ def assign_tag(
 def encode_tagged_text(registry: TagRegistry, text: str) -> list[int]:
     """Encode whitespace-tokenized tagged text into token ids.
 
-    Each whitespace token must be a bound tag surface or a transcription
-    surface; tags take precedence (surface collisions are rejected at
-    binding time, so the order never matters in practice).
+    Each whitespace token must be the text of a non-blank id: a bound tag
+    surface, a word, or an unbound placeholder's auto-name (which is how
+    `decode_tokens` writes one). Tags take precedence over any clash.
     """
-    vocab = registry.vocab
-    ids: list[int] = []
-    for piece in text.split():
-        binding = registry.binding_for_surface(piece)
-        if binding is not None:
-            ids.append(binding.token_id)
-            continue
-        token_id = vocab.id_of(piece) if piece in vocab else None
-        if token_id is None or vocab.role_of(token_id) is not TokenRole.TRANSCRIPTION:
-            raise UnknownToken(f"surface {piece!r} is neither a bound tag nor a word")
-        ids.append(token_id)
-    return ids
+    id_by_text = registry._id_by_text
+    try:
+        return [id_by_text[piece] for piece in text.split()]
+    except KeyError as exc:
+        raise UnknownToken(f"surface {exc.args[0]!r} is neither a bound tag nor a word") from None
 
 
 def check_label_ids(labels, v_total: int) -> list[int]:
@@ -301,14 +306,10 @@ def decode_tokens(registry: TagRegistry, ids: list[int]) -> str:
     """Space-join the surfaces for a blank-free id sequence.
 
     Bound placeholders decode to their tag surface; unbound ones fall back
-    to the vocabulary's auto-name.
+    to the vocabulary's auto-name. `encode_tagged_text` inverts it.
     """
-    vocab = registry.vocab
-    pieces: list[str] = []
-    for token_id in check_label_ids(ids, vocab.v_total):
-        binding = registry.binding_for_id(token_id)
-        pieces.append(binding.surface if binding is not None else vocab.surface_of(token_id))
-    return " ".join(pieces)
+    surfaces = registry.surfaces
+    return " ".join([surfaces[i] for i in check_label_ids(ids, registry.vocab.v_total)])
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +325,10 @@ VOCAB_FILE_VERSION = 1
 def vocab_document(registry: TagRegistry) -> str:
     vocab = registry.vocab
     tokens = []
-    for token_id, (surface, role) in enumerate(vocab.tokens):
-        entry: dict[str, object] = {"surface": surface, "role": role.value}
+    for token_id, (_, role) in enumerate(vocab.tokens):
+        entry: dict[str, object] = {"surface": registry.surfaces[token_id], "role": role.value}
         binding = registry.binding_for_id(token_id)
         if binding is not None:
-            entry["surface"] = binding.surface
             entry["tag_kind"] = binding.kind.value
             if binding.entity_type is not None:
                 entry["entity_type"] = binding.entity_type

@@ -10,7 +10,7 @@ import pytest
 
 import ctctag as c
 from ctctag.cli import main
-from ctctag.formats import EMISSION_KIND_PROBS
+from ctctag.formats import EMISSION_KIND_LOGITS, EMISSION_KIND_PROBS
 from ctctag.synth import UtteranceRecord, read_manifest, write_manifest
 
 
@@ -175,6 +175,34 @@ class TestDecodeEmissions:
         hyp = read_manifest(out / "hyp_manifest.jsonl")
         assert hyp[0].tagged_text == listing_text
 
+    def test_eval_reads_an_unbound_placeholder_that_decode_wrote(
+            self, tmp_path, calendar_registry, listing_text, listing_labels):
+        vocab = calendar_registry.vocab
+        unbound = vocab.blank_id - 1
+        assert calendar_registry.binding_for_id(unbound) is None
+        labels = list(listing_labels)
+        word_at = labels.index(vocab.id_of("paul"))
+        labels[word_at] = unbound
+        vocab_path = tmp_path / "vocab.json"
+        c.save_vocab(calendar_registry, vocab_path)
+        emission_path = tmp_path / "listing.ctcl"
+        self.write_one_hot(emission_path, labels, calendar_registry)
+        assert main([
+            "decode", "--emissions", str(emission_path),
+            "--vocab", str(vocab_path), "--out", str(tmp_path / "decoded"),
+        ]) == 0
+        hyp = read_manifest(tmp_path / "decoded" / "hyp_manifest.jsonl")
+        assert vocab.surface_of(unbound) in hyp[0].tagged_text.split()
+        ref = tmp_path / "ref.jsonl"
+        write_manifest(ref, [UtteranceRecord("listing", listing_text, "listing.ctcf")])
+        assert main([
+            "eval", "--ref", str(ref), "--hyp", str(tmp_path / "decoded" / "hyp_manifest.jsonl"),
+            "--vocab", str(vocab_path), "--out", str(tmp_path / "scores"),
+        ]) == 0
+        report = json.loads((tmp_path / "scores" / "report.json").read_text())
+        assert report["wer"] == round(1 / 8, 4)  # "paul" substituted
+        assert report["intent_accuracy"] == 1.0
+
 
 class TestTimeline:
     def test_tsv_format(self, tmp_path, calendar_registry):
@@ -319,19 +347,24 @@ class TestDataErrors:
             "--vocab", str(vocab_path), "--out", str(tmp_path / "o"),
         ]) == 2
 
-    @pytest.mark.parametrize("bad", ["narrow", "nan"])
+    @pytest.mark.parametrize("bad", ["narrow", "nan", "inf_logits"])
     def test_unusable_emission_file(self, tmp_path, calendar_registry, bad):
+        v_total = calendar_registry.vocab.v_total
+        kind = EMISSION_KIND_PROBS
         if bad == "narrow":
             probs = np.eye(10)[[0, 9, 1]]  # its blank id 9 is a word of the vocabulary
-        else:
-            v_total = calendar_registry.vocab.v_total
+        elif bad == "nan":
             probs = np.full((2, v_total), 1 / v_total)
             probs[1, 0] = np.nan
+        else:
+            probs = np.zeros((2, v_total))
+            probs[1, 0] = np.inf
+            kind = EMISSION_KIND_LOGITS
         vocab_path = tmp_path / "vocab.json"
         c.save_vocab(calendar_registry, vocab_path)
         path = tmp_path / "e.ctcl"
         # laid out by hand: write_emission_file refuses the NaN rows
-        header = struct.pack("<4sHBBII", b"CTCL", 1, EMISSION_KIND_PROBS, 0, *probs.shape)
+        header = struct.pack("<4sHBBII", b"CTCL", 1, kind, 0, *probs.shape)
         path.write_bytes(header + probs.astype("<f4").tobytes())
         assert main([
             "decode", "--emissions", str(path),

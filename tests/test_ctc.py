@@ -74,6 +74,23 @@ class TestEmissionMatrix:
                 c.write_emission_file(path, rows, EMISSION_KIND_PROBS)
                 c.load_emission_matrix(path)
 
+    @pytest.mark.parametrize("bad", ["plus_inf", "all_minus_inf", "nan"])
+    def test_non_finite_logits_are_rejected_without_a_warning(self, bad, recwarn):
+        logits = np.zeros((3, 4))
+        if bad == "plus_inf":
+            logits[1, 2] = np.inf
+        elif bad == "all_minus_inf":
+            logits[2] = -np.inf
+        else:
+            logits[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite logits"):
+            c.EmissionMatrix.from_logits(logits)
+        assert len(recwarn) == 0
+
+    def test_minus_inf_logits_beside_a_finite_one_are_zero_probabilities(self):
+        m = c.EmissionMatrix.from_logits(np.array([[0.0, -np.inf, 0.0]]))
+        np.testing.assert_array_equal(m.probs, [[0.5, 0.0, 0.5]])
+
 
 class TestPathProbability:
     def test_uniform_paths_are_one_ninth(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctctag as c
 
@@ -122,11 +124,49 @@ class TestStreamingDecoder:
         with pytest.raises(c.ShapeError):
             stream.push(np.array([1.0]))
 
+    def test_nan_row_is_an_error_and_is_not_taken_in(self):
+        stream = c.StreamingDecoder(3)
+        stream.push(np.array([0.1, 0.8, 0.1]))
+        for row in ([np.nan, 0.5, 0.5], [0.2, 0.3, np.nan]):
+            with pytest.raises(ValueError, match="NaN"):
+                stream.push(np.array(row))
+        assert stream.result() == c.greedy_decode(c.EmissionMatrix([[0.1, 0.8, 0.1]]))
+        assert stream.committed == []
+
     def test_empty_stream(self):
         stream = c.StreamingDecoder()
         result = stream.result()
         assert result.path == ()
         assert result.labels == ()
+
+
+@st.composite
+def emission_rows(draw):
+    """Up to 120 rows of width 2-8 from a few levels, so argmax ties are
+    common, with the blank boosted in long runs."""
+    v_total = draw(st.integers(2, 8))
+    t_frames = draw(st.integers(1, 120))
+    levels = st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0])
+    raw = np.array(draw(st.lists(st.lists(levels, min_size=v_total, max_size=v_total),
+                                 min_size=t_frames, max_size=t_frames)))
+    run_start = draw(st.integers(0, t_frames - 1))
+    run_length = draw(st.integers(0, t_frames))
+    raw[run_start : run_start + run_length, -1] = 4.0
+    raw[raw.sum(axis=1) == 0] = 1.0
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+@given(probs=emission_rows())
+@settings(max_examples=200, deadline=None)
+def test_every_streaming_partial_is_the_greedy_decode_of_its_prefix(probs):
+    stream = c.StreamingDecoder()
+    for t, row in enumerate(probs):
+        stream.push(row)
+        partial = stream.result()
+        assert partial == c.greedy_decode(c.EmissionMatrix(probs[: t + 1]))
+        committed = stream.committed
+        assert [label for label, _ in committed] == list(partial.labels[: len(committed)])
+        assert [span for _, span in committed] == list(partial.frame_spans[: len(committed)])
 
 
 class TestTimeline:

@@ -146,9 +146,15 @@ class TestEmissionReadErrors:
         with pytest.raises(c.FormatError):
             c.read_emission_file(path)
 
+    def test_header_claiming_the_largest_frame_count(self, tmp_path):
+        path = tmp_path / "huge.ctcl"
+        path.write_bytes(struct.pack("<4sHBBII", b"CTCL", 1, 0, 0, 2**32 - 1, 3) + b"\x00" * 12)
+        with pytest.raises(c.TruncatedFile):
+            c.read_emission_file(path)
+
     def test_probability_rows_checked_on_read(self, tmp_path):
         path = tmp_path / "sums.ctcl"
-        for rows in ([[0.9, 0.9]], [[np.nan, 0.5]]):
+        for rows in ([[0.9, 0.9]], [[np.nan, 0.5]], [[np.inf, 0.0]]):
             bad = np.array(rows, dtype="<f4")
             path.write_bytes(struct.pack("<4sHBBII", b"CTCL", 1, 0, 0, 1, 2) + bad.tobytes())
             with pytest.raises(c.FormatError):
@@ -171,6 +177,12 @@ class TestLoadEmissionMatrix:
         m = c.load_emission_matrix(path)
         expected = c.softmax_rows(logits.astype(np.float32).astype(np.float64))
         np.testing.assert_allclose(m.probs, expected, atol=1e-15)
+
+    def test_logit_kind_with_infinite_logits_is_rejected(self, tmp_path):
+        path = tmp_path / "inf.ctcl"
+        c.write_emission_file(path, np.array([[0.0, 1.0], [np.inf, 0.0]]), EMISSION_KIND_LOGITS)
+        with pytest.raises(ValueError, match="non-finite logits"):
+            c.load_emission_matrix(path)
 
     def test_round_trip_preserves_greedy_decode(self, tmp_path):
         rng = np.random.default_rng(33)

@@ -242,6 +242,19 @@ class TestToyModel:
         np.testing.assert_array_equal(stacked[1], [1, 10, 2, 20, 3, 30])
         np.testing.assert_array_equal(stacked[2], [2, 20, 3, 30, 0, 0])
 
+    @pytest.mark.parametrize("t_frames", [1, 2, 18, 54])
+    @pytest.mark.parametrize("receptive_field", [1, 3, 5])
+    def test_windows_match_a_frame_by_frame_reference(self, t_frames, receptive_field):
+        features = np.random.default_rng(t_frames).normal(size=(t_frames, 4))
+        half = receptive_field // 2
+        zero = np.zeros(4)
+        expected = np.array([
+            np.concatenate([features[u] if 0 <= u < t_frames else zero
+                            for u in range(t - half, t + half + 1)])
+            for t in range(t_frames)
+        ])
+        np.testing.assert_array_equal(_windows(features, receptive_field), expected)
+
     def test_predict_shape_and_row_sums(self):
         model = c.ToyModel.init(16, 50, self.rng())
         features = self.rng().normal(size=(23, 16))

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctctag as c
 from ctctag.vocab import PLACEHOLDER_TEMPLATE
@@ -135,6 +137,38 @@ def test_round_trip_over_generated_corpus(small_corpus):
     for text, labels, _ in items:
         assert c.decode_tokens(registry, labels) == text
         assert c.encode_tagged_text(registry, text) == labels
+
+
+def test_surfaces_read_bound_placeholders_as_their_tags(calendar_registry):
+    reg = calendar_registry
+    assert len(reg.surfaces) == reg.vocab.v_total
+    for token_id, text in enumerate(reg.surfaces):
+        binding = reg.binding_for_id(token_id)
+        assert text == (binding.surface if binding else reg.vocab.surface_of(token_id))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_encode_inverts_decode_for_every_blank_free_sequence(data, calendar_registry):
+    # unbound placeholders included: decode writes their auto-names
+    reg = calendar_registry
+    ids = data.draw(st.lists(st.integers(0, reg.vocab.blank_id - 1), max_size=30))
+    assert c.encode_tagged_text(reg, c.decode_tokens(reg, ids)) == ids
+
+
+def test_bound_auto_names_and_the_blank_do_not_encode(calendar_registry):
+    reg = calendar_registry
+    bound_auto_name = reg.vocab.surface_of(reg.bindings[0].token_id)
+    for piece in (bound_auto_name, c.BLANK_SURFACE):
+        with pytest.raises(c.UnknownToken, match="neither a bound tag nor a word"):
+            c.encode_tagged_text(reg, f"put {piece}")
+
+
+def test_tag_surface_clashing_with_a_word_encodes_as_the_tag():
+    # assign_tag refuses the clash; a registry built directly can hold one
+    vocab = c.build_vocab(["put", "!END!"], 1)
+    reg = c.TagRegistry(vocab, (c.TagBinding("!END!", 2, c.TagKind.ENTITY_END),))
+    assert c.encode_tagged_text(reg, "put !END!") == [0, 2]
 
 
 def test_vocab_file_round_trip(tmp_path, calendar_registry):
