@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .decoder import check_width, emit_timeline, greedy_decode
@@ -128,21 +129,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _merged_config(args, flag_fields) -> dict:
+def _config(cls, args):
+    """`cls` from the --config document, overridden by every flag named
+    after one of its fields. A value out of range is a usage error."""
     doc = _read_json(args.config) if args.config else {}
-    for name in flag_fields:
-        value = getattr(args, name)
-        if value is not None:
-            doc[name] = value
-    return doc
+    names = {f.name for f in fields(cls)}
+    doc.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
+    try:
+        return cls.from_dict(doc)
+    except ValueError as exc:
+        raise UsageError(f"bad {cls.__name__}: {exc}") from exc
 
 
 def _cmd_gen_data(args) -> None:
-    doc = _merged_config(args, ["seed", "n_utterances", "speaker_change_probability"])
-    doc.setdefault("seed", 42)
-    doc.setdefault("n_utterances", 2200)
+    cfg = _config(SynthConfig, args)
     try:
-        cfg = SynthConfig.from_dict(doc)
         if args.placeholders < 1:
             raise ValueError("--placeholders must be >= 1")
         if args.split is not None and not 1 <= args.split < cfg.n_utterances:
@@ -166,14 +167,7 @@ def _cmd_gen_data(args) -> None:
 
 def _cmd_train(args) -> None:
     registry = load_vocab(args.vocab)
-    doc = _merged_config(args, ["epochs", "seed", "learning_rate", "momentum",
-                                "batch_size", "receptive_field", "hidden_width",
-                                "strip_tags"])
-    doc.setdefault("epochs", 30)
-    try:
-        cfg = TrainConfig(**doc)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad training config: {exc}") from exc
+    cfg = _config(TrainConfig, args)
     model, losses = train_from_manifest(args.manifest, registry, cfg)
     out = _out_dir(args)
     save_model(model, out / "model.json")

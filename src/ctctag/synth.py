@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path, PurePath
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -56,8 +57,51 @@ DEFAULT_ENTITY_TYPES: dict[str, tuple[str, ...]] = {
 DEFAULT_FILLERS: tuple[str, ...] = ("with", "for", "a", "the", "please", "at", "on", "my")
 
 
+def _to_json(value):
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _to_json(v) for k, v in value.items()}
+    return value
+
+
+def _from_json(value, hint, name: str):
+    """`value` as the declared type `hint`: lists become tuples, an int may
+    stand for a float, and nothing else converts (a bool is only a bool).
+    NaN and Infinity, which are not JSON numbers, are no float either."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple and isinstance(value, list):
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(items) == len(value):
+            return tuple(_from_json(v, t, name) for v, t in zip(value, items))
+    elif origin is dict and isinstance(value, dict):
+        return {k: _from_json(v, args[1], name) for k, v in value.items()}
+    elif type(value) is hint or (hint is float and type(value) is int):
+        if hint is not float or math.isfinite(value):
+            return hint(value)
+    expected = hint if origin else hint.__name__
+    raise FormatError(f"config field {name!r}: expected {expected}, got {json.dumps(value)}")
+
+
+class _JsonConfig:
+    """JSON form of a config dataclass, derived from its field types."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        """FormatError naming the field for an unknown key or a value whose
+        JSON type is not the field's; the dataclass checks the ranges."""
+        hints = get_type_hints(cls)
+        for key in doc:
+            if key not in hints:
+                raise FormatError(f"unknown {cls.__name__} field {key!r}")
+        return cls(**{k: _from_json(v, hints[k], k) for k, v in doc.items()})
+
+
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(_JsonConfig):
     """Grammar and acoustics of the synthetic corpus.
 
     fillers_per_utterance counts the intent lead word, so its lower bound
@@ -66,8 +110,8 @@ class SynthConfig:
     indistinguishable from one longer phrase, since tags are silent.
     """
 
-    seed: int
-    n_utterances: int
+    seed: int = 42
+    n_utterances: int = 2200
     feature_dim: int = 16
     frames_per_token: tuple[int, int] = (2, 4)
     noise_sigma: float = 0.3
@@ -145,42 +189,9 @@ class SynthConfig:
             words.update(lex)
         return sorted(words)
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_utterances": self.n_utterances,
-            "feature_dim": self.feature_dim,
-            "frames_per_token": list(self.frames_per_token),
-            "noise_sigma": self.noise_sigma,
-            "intents": {k: list(v) for k, v in sorted(self.intents.items())},
-            "entity_types": {k: list(v) for k, v in sorted(self.entity_types.items())},
-            "filler_lexicon": list(self.filler_lexicon),
-            "speaker_change_probability": self.speaker_change_probability,
-            "entities_per_utterance": list(self.entities_per_utterance),
-            "fillers_per_utterance": list(self.fillers_per_utterance),
-            "phrase_words": list(self.phrase_words),
-        }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SynthConfig":
-        kwargs = dict(doc)
-        for key in ("frames_per_token", "entities_per_utterance",
-                    "fillers_per_utterance", "phrase_words"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        for key in ("intents", "entity_types"):
-            if key in kwargs:
-                kwargs[key] = {k: tuple(v) for k, v in kwargs[key].items()}
-        if "filler_lexicon" in kwargs:
-            kwargs["filler_lexicon"] = tuple(kwargs["filler_lexicon"])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise FormatError(f"bad corpus config: {exc}") from exc
-
-
-def default_config(seed: int = 42, n_utterances: int = 2200) -> SynthConfig:
-    return SynthConfig(seed=seed, n_utterances=n_utterances)
+#: the older name: default_config(seed=..., n_utterances=...) is a SynthConfig
+default_config = SynthConfig
 
 
 def build_registry(cfg: SynthConfig, placeholder_count: int = 16) -> TagRegistry:
@@ -349,15 +360,12 @@ def read_manifest(path: str | Path) -> list[UtteranceRecord]:
             continue
         try:
             doc = json.loads(line)
-            records.append(
-                UtteranceRecord(
-                    uid=doc["id"],
-                    tagged_text=doc["tagged_text"],
-                    feature_path=doc["features"],
-                )
-            )
+            values = [doc[key] for key in ("id", "tagged_text", "features")]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise FormatError(f"{path}:{lineno}: bad manifest line: {exc}") from exc
+        if not all(isinstance(v, str) for v in values):
+            raise FormatError(f"{path}:{lineno}: id, tagged_text and features must be strings")
+        records.append(UtteranceRecord(*values))
     return records
 
 
@@ -400,6 +408,8 @@ class ToyModel:
     def __post_init__(self):
         if self.receptive_field < 1 or self.receptive_field % 2 == 0:
             raise ValueError("receptive_field must be odd and >= 1")
+        if (self.w1.ndim, self.b1.ndim, self.w2.ndim, self.b2.ndim) != (2, 1, 2, 1):
+            raise ShapeError("w1 and w2 must be 2-D, b1 and b2 1-D")
         if self.w1.shape[0] % self.receptive_field != 0:
             raise ShapeError("w1 rows must be receptive_field * feature_dim")
         if self.w1.shape[1] != self.b1.shape[0] or self.w2.shape[0] != self.b1.shape[0]:
@@ -499,8 +509,8 @@ def load_model(path: str | Path) -> ToyModel:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    epochs: int
+class TrainConfig(_JsonConfig):
+    epochs: int = 30
     seed: int = 0
     learning_rate: float = 0.05
     momentum: float = 0.9
@@ -514,18 +524,8 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.learning_rate <= 0 or not 0 <= self.momentum < 1:
             raise ValueError("bad optimizer settings")
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "batch_size": self.batch_size,
-            "strip_tags": self.strip_tags,
-            "receptive_field": self.receptive_field,
-            "hidden_width": self.hidden_width,
-        }
+        if self.receptive_field < 1 or self.receptive_field % 2 == 0 or self.hidden_width < 1:
+            raise ValueError("receptive_field must be odd and >= 1, hidden_width >= 1")
 
 
 def load_training_samples(

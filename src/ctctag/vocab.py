@@ -180,6 +180,13 @@ class TagRegistry:
         for b in self.bindings:
             if vocab.role_of(b.token_id) is not TokenRole.PLACEHOLDER:
                 raise InvalidToken(f"token id {b.token_id} is not a placeholder")
+            if not b.surface or b.surface.split() != [b.surface]:
+                raise InvalidToken(f"bad tag surface {b.surface!r}")
+            if b.surface in vocab:
+                raise DuplicateToken(f"tag surface {b.surface!r} shadows a vocabulary token")
+            if (b.kind is TagKind.ENTITY_BEGIN) != bool(b.entity_type):
+                raise InvalidToken(f"{b.surface!r}: only entity-begin tags, and all of them, "
+                                   "take an entity_type")
             if b.surface in self._by_surface:
                 raise DuplicateToken(f"tag surface {b.surface!r} bound twice")
             if b.token_id in self._by_id:
@@ -199,10 +206,8 @@ class TagRegistry:
         if end_count > 1:
             raise DuplicateEndTag("only one shared entity-end tag is allowed")
         self.surfaces = tuple(surfaces)
-        # inverse over the non-blank ids; a tag surface that clashes with
-        # another id's text resolves to the tag
+        # inverse over the non-blank ids
         self._id_by_text = {text: i for i, text in enumerate(surfaces[:-1])}
-        self._id_by_text.update((b.surface, b.token_id) for b in self.bindings)
 
     def binding_for_surface(self, surface: str) -> TagBinding | None:
         return self._by_surface.get(surface)
@@ -248,22 +253,9 @@ def assign_tag(
 
     Returns a new registry; the input is untouched. Assignment order is
     deterministic, so the same sequence of calls always yields the same ids.
+    The new registry checks the binding, as it checks every loaded one.
     """
     vocab = registry.vocab
-    if not tag_surface or tag_surface.split() != [tag_surface]:
-        raise InvalidToken(f"bad tag surface {tag_surface!r}")
-    if tag_surface in vocab:
-        raise DuplicateToken(f"tag surface {tag_surface!r} shadows a vocabulary token")
-    if registry.binding_for_surface(tag_surface) is not None:
-        raise DuplicateToken(f"tag surface {tag_surface!r} already bound")
-    if kind is TagKind.ENTITY_END and registry.end_binding is not None:
-        raise DuplicateEndTag("the shared entity-end tag is already bound")
-    if kind is TagKind.ENTITY_BEGIN:
-        if not entity_type:
-            raise InvalidToken("entity-begin tags need an entity_type")
-    elif entity_type is not None:
-        raise InvalidToken(f"{kind.value} tags do not take an entity_type")
-
     bound = {b.token_id for b in registry.bindings}
     token_id = next(
         (i for i in range(vocab.l_count, vocab.l_count + vocab.d_count) if i not in bound),
@@ -280,7 +272,7 @@ def encode_tagged_text(registry: TagRegistry, text: str) -> list[int]:
 
     Each whitespace token must be the text of a non-blank id: a bound tag
     surface, a word, or an unbound placeholder's auto-name (which is how
-    `decode_tokens` writes one). Tags take precedence over any clash.
+    `decode_tokens` writes one).
     """
     id_by_text = registry._id_by_text
     try:
@@ -361,6 +353,9 @@ def load_vocab(path: str | Path) -> TagRegistry:
         l_count, d_count, blank_id = doc["L"], doc["D"], doc["blank_id"]
     except KeyError as exc:
         raise FormatError(f"{path}: missing field {exc}") from exc
+    header = (l_count, d_count, blank_id)
+    if not isinstance(entries, list) or any(type(n) is not int for n in header):
+        raise FormatError(f"{path}: L, D and blank_id must be integers and tokens a list")
     if len(entries) != l_count + d_count + 1 or blank_id != len(entries) - 1:
         raise FormatError(f"{path}: token count does not match L + D + 1")
 
@@ -372,6 +367,8 @@ def load_vocab(path: str | Path) -> TagRegistry:
             surface = entry["surface"]
         except (KeyError, ValueError, TypeError) as exc:
             raise FormatError(f"{path}: bad token entry at id {token_id}: {exc}") from exc
+        if not isinstance(surface, str) or not isinstance(entry.get("entity_type", ""), str):
+            raise FormatError(f"{path}: surface and entity_type at id {token_id} must be strings")
         if "tag_kind" in entry:
             if role is not TokenRole.PLACEHOLDER:
                 raise FormatError(f"{path}: tag metadata on non-placeholder id {token_id}")
@@ -383,9 +380,9 @@ def load_vocab(path: str | Path) -> TagRegistry:
             surface = PLACEHOLDER_TEMPLATE.format(token_id - l_count)
         tokens.append((surface, role))
     try:
-        vocab = Vocabulary(tokens)
-    except (InvalidToken, DuplicateToken) as exc:
+        registry = TagRegistry(Vocabulary(tokens), tuple(bindings))
+    except (InvalidToken, DuplicateToken, DuplicateEndTag) as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    if vocab.l_count != l_count or vocab.d_count != d_count:
+    if registry.vocab.l_count != l_count or registry.vocab.d_count != d_count:
         raise FormatError(f"{path}: role blocks disagree with the L/D header")
-    return TagRegistry(vocab, tuple(bindings))
+    return registry

@@ -280,6 +280,60 @@ class TestConfigMerging:
         assert len(read_manifest(out / "manifest.jsonl")) == 15
 
 
+def _train_argv(pipeline, out):
+    data = pipeline["data"]
+    return ["train", "--manifest", str(data / "manifest_train.jsonl"),
+            "--vocab", str(data / "vocab.json"), "--out", str(out)]
+
+
+class TestConfigDocuments:
+    @pytest.mark.parametrize("command, field, value", [
+        ("train", "strip_tags", "no"),
+        ("gen-data", "filler_lexicon", "abcdefgh"),
+        ("gen-data", "intents", {"A": "xyz"}),
+        ("gen-data", "seed", 1.5),
+        ("gen-data", "frames_per_token", 5),
+        ("train", "batch_size", 2.5),
+        ("train", "hidden_width", 8.0),
+        ("gen-data", "noise_sigma", float("nan")),
+    ])
+    def test_value_of_the_wrong_json_type_is_a_data_error(
+        self, pipeline, tmp_path, capsys, command, field, value
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({field: value}))
+        if command == "train":
+            argv = [*_train_argv(pipeline, tmp_path / "o"), "--epochs", "1"]
+        else:
+            argv = ["gen-data", "--out", str(tmp_path / "o"), "--n-utterances", "3"]
+        assert main([*argv, "--config", str(cfg_path)]) == 2
+        assert repr(field) in capsys.readouterr().err
+
+    def test_unknown_field_is_a_data_error_and_out_of_range_a_usage_error(
+        self, pipeline, tmp_path
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"upsampling": 3}))
+        assert main(["gen-data", "--out", str(tmp_path / "g"), "--n-utterances", "3",
+                     "--config", str(cfg_path)]) == 2
+        assert main([*_train_argv(pipeline, tmp_path / "t"), "--config", str(cfg_path)]) == 2
+        cfg_path.write_text(json.dumps({"epochs": 0}))
+        assert main([*_train_argv(pipeline, tmp_path / "t"), "--config", str(cfg_path)]) == 1
+
+    def test_config_json_echo_reads_back_as_the_same_configs(self, pipeline, tmp_path):
+        data = pipeline["data"]
+        echo = json.loads((data / "config.json").read_text())["synth"]
+        cfg_path = tmp_path / "synth.json"
+        cfg_path.write_text(json.dumps(echo))
+        out = tmp_path / "again"
+        assert main(["gen-data", "--out", str(out), "--config", str(cfg_path),
+                     "--split", "60"]) == 0
+        for name in ("manifest.jsonl", "vocab.json", "config.json"):
+            assert (out / name).read_bytes() == (data / name).read_bytes()
+        train_echo = json.loads((pipeline["model"] / "config.json").read_text())["train"]
+        assert c.TrainConfig.from_dict(train_echo).to_dict() == train_echo
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path), "--bogus"]) == 1
@@ -413,6 +467,118 @@ class TestDataErrors:
             "eval", "--ref", str(manifest), "--hyp", str(manifest),
             "--vocab", str(vocab_path), "--out", str(tmp_path / "s"),
         ]) == 2
+
+
+#: one-field mutations: null, two numbers, a string, a list and a dict
+MUTANTS = [None, 0, 2.5, "x", [1, 2], {"k": 1}]
+
+
+def _exit_code(argv):
+    """main's exit code, or the exception that escaped it."""
+    try:
+        return main([str(a) for a in argv])
+    except Exception as exc:  # an escape is what the sweep looks for
+        return exc
+
+
+def _mutants(doc: dict, keys):
+    """(label, copy of doc with one entry of doc[key] or doc replaced)."""
+    for key in keys:
+        for value in MUTANTS:
+            mutant = json.loads(json.dumps(doc))
+            if isinstance(key, tuple):  # (list field, index)
+                mutant[key[0]][key[1]] = value
+            else:
+                mutant[key] = value
+            yield f"{key}={value!r}", mutant
+
+
+class TestOneFieldMutations:
+    """Each JSON input, one field at a time set to a value of another type:
+    main exits with a code (0, or 2 for a data error; configs may also give 1
+    for a value out of range) and never raises."""
+
+    def sweep(self, runs, allowed):
+        escapes = [f"{label}: {code!r}" for label, code in runs if code not in allowed]
+        assert not escapes, "\n".join(escapes)
+
+    def link_features(self, pipeline, tmp_path):
+        # a manifest in tmp_path then reads its feature paths from the corpus
+        (tmp_path / "features").symlink_to(pipeline["data"] / "features")
+
+    def test_vocab_json(self, pipeline, tmp_path):
+        data = pipeline["data"]
+        doc = json.loads((data / "vocab.json").read_text())
+        tag_id = next(i for i, e in enumerate(doc["tokens"]) if "tag_kind" in e)
+        keys = [*doc, ("tokens", 0), ("tokens", tag_id)]
+        heldout = data / "manifest_heldout.jsonl"
+        runs = []
+        for label, mutant in _mutants(doc, keys):
+            vocab = tmp_path / "vocab.json"
+            vocab.write_text(json.dumps(mutant))
+            runs.append((f"decode {label}", _exit_code([
+                "decode", "--model", pipeline["model"] / "model.json",
+                "--manifest", heldout, "--vocab", vocab, "--out", tmp_path / "d"])))
+            runs.append((f"eval {label}", _exit_code([
+                "eval", "--ref", heldout, "--hyp", heldout,
+                "--vocab", vocab, "--out", tmp_path / "e"])))
+        self.sweep(runs, (0, 2))
+
+    def test_manifest_line(self, pipeline, tmp_path):
+        data = pipeline["data"]
+        self.link_features(pipeline, tmp_path)
+        heldout = data / "manifest_heldout.jsonl"
+        lines = heldout.read_text().splitlines()
+        runs = []
+        for label, mutant in _mutants(json.loads(lines[0]), ["id", "tagged_text", "features"]):
+            manifest = tmp_path / "manifest.jsonl"
+            manifest.write_text("\n".join([json.dumps(mutant), *lines[1:]]) + "\n")
+            runs.append((f"decode {label}", _exit_code([
+                "decode", "--model", pipeline["model"] / "model.json",
+                "--manifest", manifest, "--vocab", data / "vocab.json",
+                "--out", tmp_path / "d"])))
+            runs.append((f"eval {label}", _exit_code([
+                "eval", "--ref", heldout, "--hyp", manifest,
+                "--vocab", data / "vocab.json", "--out", tmp_path / "e"])))
+        self.sweep(runs, (0, 2))
+
+    def test_model_json(self, pipeline, tmp_path):
+        data = pipeline["data"]
+        doc = json.loads((pipeline["model"] / "model.json").read_text())
+        runs = []
+        for label, mutant in _mutants(doc, list(doc)):
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps(mutant))
+            runs.append((label, _exit_code([
+                "decode", "--model", model, "--manifest", data / "manifest_heldout.jsonl",
+                "--vocab", data / "vocab.json", "--out", tmp_path / "d"])))
+        self.sweep(runs, (0, 2))
+
+    def test_gen_data_config(self, tmp_path):
+        doc = c.SynthConfig(n_utterances=3).to_dict()
+        runs = []
+        for label, mutant in _mutants(doc, list(doc)):
+            cfg_path = tmp_path / "synth.json"
+            cfg_path.write_text(json.dumps(mutant))
+            runs.append((label, _exit_code([
+                "gen-data", "--config", cfg_path, "--out", tmp_path / "g"])))
+        self.sweep(runs, (0, 1, 2))
+
+    def test_train_config(self, pipeline, tmp_path):
+        data = pipeline["data"]
+        self.link_features(pipeline, tmp_path)
+        manifest = tmp_path / "manifest.jsonl"
+        lines = (data / "manifest_train.jsonl").read_text().splitlines()
+        manifest.write_text("\n".join(lines[:8]) + "\n")
+        doc = c.TrainConfig(epochs=1, batch_size=4, hidden_width=8).to_dict()
+        runs = []
+        for label, mutant in _mutants(doc, list(doc)):
+            cfg_path = tmp_path / "train.json"
+            cfg_path.write_text(json.dumps(mutant))
+            runs.append((label, _exit_code([
+                "train", "--config", cfg_path, "--manifest", manifest,
+                "--vocab", data / "vocab.json", "--out", tmp_path / "t"])))
+        self.sweep(runs, (0, 1, 2))
 
 
 def test_help_via_interpreter():

@@ -70,6 +70,31 @@ class TestSynthConfig:
         with pytest.raises(c.FormatError):
             c.SynthConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("filler_lexicon", "abcdefgh"),  # a string is not a tuple
+        ("intents", {"A": "xyz"}),
+        ("frames_per_token", [2, 3, 4]),
+        ("frames_per_token", [2, 3.5]),
+        ("seed", 1.5),  # a float is not an int
+        ("n_utterances", True),  # a bool is not an int
+        ("noise_sigma", "0.3"),
+        ("noise_sigma", float("nan")),  # NaN and Infinity are not JSON numbers
+        ("speaker_change_probability", float("-inf")),
+    ])
+    def test_from_dict_rejects_a_wrong_json_type_naming_the_field(self, field, value):
+        with pytest.raises(c.FormatError, match=repr(field)):
+            c.SynthConfig.from_dict({field: value})
+
+    def test_field_defaults_and_json_forms(self):
+        assert c.SynthConfig() == c.default_config(seed=42, n_utterances=2200)
+        assert c.TrainConfig().epochs == 30
+        cfg = c.TrainConfig.from_dict({"learning_rate": 1, "strip_tags": True})
+        assert cfg == c.TrainConfig(learning_rate=1.0, strip_tags=True)
+        assert type(cfg.learning_rate) is float
+        assert c.TrainConfig.from_dict(cfg.to_dict()) == cfg
+        with pytest.raises(c.FormatError, match="'strip_tags'"):
+            c.TrainConfig.from_dict({"strip_tags": 1})
+
 
 class TestRegistryAndEmbeddings:
     def test_build_registry_binds_every_tag(self):
@@ -217,6 +242,17 @@ class TestGenCorpus:
         with pytest.raises(c.FormatError):
             read_manifest(path)
 
+    @pytest.mark.parametrize("key", ["id", "tagged_text", "features"])
+    @pytest.mark.parametrize("value", [None, 3, ["a"], {"a": 1}])
+    def test_manifest_field_of_the_wrong_type(self, tmp_path, key, value):
+        from ctctag.synth import read_manifest
+
+        doc = {"id": "utt_00000", "tagged_text": "put", "features": "f.ctcf", key: value}
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(c.FormatError, match="must be strings"):
+            read_manifest(path)
+
     def test_samples_load_against_manifest(self, tmp_path):
         cfg = tiny_config()
         registry = c.build_registry(cfg)
@@ -282,6 +318,14 @@ class TestToyModel:
         np.testing.assert_array_equal(loaded.w2, model.w2)
         np.testing.assert_array_equal(loaded.b2, model.b2)
         assert loaded.receptive_field == model.receptive_field
+
+    @pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
+    def test_weight_of_the_wrong_rank(self, name):
+        model = c.ToyModel.init(4, 6, self.rng(), receptive_field=3, hidden_width=5)
+        weights = {k: getattr(model, k) for k in ("w1", "b1", "w2", "b2")}
+        for bad in (np.float64(1.0), weights[name][..., None]):
+            with pytest.raises(c.ShapeError, match="2-D"):
+                c.ToyModel(**{**weights, name: bad}, receptive_field=3)
 
     def test_load_model_error_ladder(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -394,3 +438,10 @@ class TestTrain:
             c.TrainConfig(epochs=1, momentum=1.0)
         with pytest.raises(ValueError):
             c.TrainConfig(epochs=1, learning_rate=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("receptive_field", 0), ("receptive_field", 4), ("hidden_width", 0),
+    ])
+    def test_network_shape_is_checked_with_the_config(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            c.TrainConfig(**{field: value})

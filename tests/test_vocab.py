@@ -164,11 +164,11 @@ def test_bound_auto_names_and_the_blank_do_not_encode(calendar_registry):
             c.encode_tagged_text(reg, f"put {piece}")
 
 
-def test_tag_surface_clashing_with_a_word_encodes_as_the_tag():
-    # assign_tag refuses the clash; a registry built directly can hold one
+def test_tag_surface_clashing_with_a_word_is_rejected():
+    # the word could never be encoded: its text would read as the tag
     vocab = c.build_vocab(["put", "!END!"], 1)
-    reg = c.TagRegistry(vocab, (c.TagBinding("!END!", 2, c.TagKind.ENTITY_END),))
-    assert c.encode_tagged_text(reg, "put !END!") == [0, 2]
+    with pytest.raises(c.DuplicateToken, match="shadows"):
+        c.TagRegistry(vocab, (c.TagBinding("!END!", 2, c.TagKind.ENTITY_END),))
 
 
 def test_vocab_file_round_trip(tmp_path, calendar_registry):
@@ -207,3 +207,43 @@ def test_load_vocab_rejects_malformed(tmp_path):
     versioned.write_text(json.dumps({"version": 9, "L": 1, "D": 0, "blank_id": 1, "tokens": []}))
     with pytest.raises(c.UnsupportedVersion):
         c.load_vocab(versioned)
+
+
+def _edited_vocab(tmp_path, registry, edit):
+    doc = json.loads(c.vocab_document(registry))
+    edit(doc)
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _bound_entry(doc, kind):
+    return next(e for e in doc["tokens"] if e.get("tag_kind") == kind)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: _bound_entry(doc, "entity_end").update(surface="put"),
+    lambda doc: _bound_entry(doc, "entity_end").update(surface=""),
+    lambda doc: _bound_entry(doc, "entity_end").update(surface="!END !"),
+    lambda doc: _bound_entry(doc, "entity_begin").pop("entity_type"),
+    lambda doc: _bound_entry(doc, "intent").update(entity_type="PERSON"),
+    lambda doc: _bound_entry(doc, "intent").update(tag_kind="entity_end"),
+], ids=["shadows_a_word", "empty", "whitespace", "begin_without_type",
+        "intent_with_type", "second_end"])
+def test_load_vocab_applies_the_binding_rules_of_assign_tag(tmp_path, calendar_registry, edit):
+    with pytest.raises(c.FormatError):
+        c.load_vocab(_edited_vocab(tmp_path, calendar_registry, edit))
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value)
+    for key in ("L", "D", "blank_id", "tokens")
+    for value in (None, "3", 2.0, [], {})
+    if (key, value) != ("tokens", [])
+])
+def test_load_vocab_field_of_the_wrong_type_is_a_format_error(
+    tmp_path, calendar_registry, key, value
+):
+    path = _edited_vocab(tmp_path, calendar_registry, lambda doc: doc.update({key: value}))
+    with pytest.raises(c.FormatError, match="L, D and blank_id must be integers"):
+        c.load_vocab(path)
