@@ -12,7 +12,7 @@ import hashlib
 import json
 import sys
 from dataclasses import fields
-from pathlib import Path
+from pathlib import Path, PurePath
 
 from .decoder import check_width, emit_timeline, greedy_decode
 from .errors import AlignmentError, CtcTagError, FormatError
@@ -200,19 +200,21 @@ def _cmd_decode(args) -> None:
     if features_mode == (args.emissions is not None):
         raise UsageError("give either --model/--manifest or --emissions")
     registry = load_vocab(args.vocab)
-    out = _out_dir(args)
-    (out / "transcripts").mkdir(exist_ok=True)
-
     inputs: list[tuple[str, str, object]] = []
     if features_mode:
         model = load_model(args.model)
         for record in read_manifest(args.manifest):
+            # the id names the transcript file, so it must stay in transcripts/
+            if record.uid in ("", ".", "..") or PurePath(record.uid).name != record.uid:
+                raise FormatError(f"{args.manifest}: id {record.uid!r} is not a file name")
             feats = read_feature_file(manifest_feature_path(args.manifest, record.feature_path))
             inputs.append((record.uid, record.feature_path, model.predict(feats)))
     else:
         for path in args.emissions:
             inputs.append((Path(path).stem, path, load_emission_matrix(path)))
 
+    out = _out_dir(args)
+    (out / "transcripts").mkdir(exist_ok=True)
     records = []
     for uid, source, emissions in inputs:
         tagged_text, doc = _decode_one(registry, emissions)

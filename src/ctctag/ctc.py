@@ -3,22 +3,35 @@
 Per-frame token distributions define a distribution over frame-length paths;
 the collapse map (merge adjacent repeats, then drop blanks) sends paths to
 label sequences, and the probability of a label sequence is the sum over all
-paths that collapse to it. The efficient evaluation runs one log-space
-recursion over the blank-interleaved label sequence. Run forward it gives
-the alphas, and with them the sequence probability for both the loss and the
-gradient; run over the time- and state-reversed lattice (the extended
-sequence of the reversed labels) it gives the betas, which only the gradient
-needs. It stays in log space throughout (pure log-sum-exp, no per-frame
-rescaling) so it can be compared exactly against the brute-force path
-enumeration.
+paths that collapse to it. The efficient evaluation runs one recursion over
+the blank-interleaved label sequence. Run forward it gives the alphas, and
+with them the sequence probability for both the loss and the gradient; run
+over the time- and state-reversed lattice (the extended sequence of the
+reversed labels) it gives the betas, which only the gradient needs.
+
+The recursion exists in two numeric domains. `_lattice_log` stays in log
+space (pure log-sum-exp, no rescaling); `ctc_neg_log_likelihood` runs it, so
+it can be compared exactly against the brute-force path enumeration.
+`_lattice_scaled` multiplies probabilities and divides each lattice row by
+its maximum every frame, keeping the log of the divisor (Graves et al.
+2006, §4.1), which is several times faster than numpy's element-by-element
+`logaddexp`. `nll_and_gradient` runs the scaled recursion and trusts an
+utterance's result only if each frame's state occupancies sum to 1 within
+ROW_SUM_TOL (a zero final mass or a scale factor that overflows fails that
+too) and none of its emission probabilities fell below the smallest normal
+float: such an emission is lost alike in the alphas and the betas, so the
+sums cannot show it. Every other utterance is recomputed in log space,
+which also confirms a zero-probability target before it is reported.
 
 The recursion is batched: a training minibatch's lattices, alphas and betas
-alike, are stacked into one (T_max, 2B, S_max) array, so its frame loop runs
-once per batch. Frames past an utterance's end and states past its extended
-sequence are padding with -inf emissions; since paths only move forward in
-time and state, padding never feeds a real cell, and every real cell is
-computed exactly as for that utterance alone. A single utterance is the B=1
-case of the same code.
+alike, are stacked into one (T_max, 2B, S_max) array of per-utterance slices
+of the emissions, so its frame loop runs once per batch. Frames past an
+utterance's end and states past its extended sequence are padding with zero
+probability (-inf in log space); since paths only move forward in time and
+state, padding never feeds a real cell, and the row maxima that rescale the
+lattice are those of the real cells, so every real cell is computed exactly
+as for that utterance alone. A single utterance is the B=1 case of the same
+code.
 
 Everything here is 64-bit; token ids are plain ints with the blank id taken
 from the emission width context (callers pass it explicitly to `collapse`).
@@ -40,6 +53,7 @@ from .errors import (
 from .vocab import check_label_ids
 
 ROW_SUM_TOL = 1e-9
+SMALLEST_NORMAL = np.finfo(np.float64).tiny
 BRUTE_FORCE_PATH_LIMIT = 10**7
 
 
@@ -158,8 +172,9 @@ def sequence_probability_bruteforce(emissions: EmissionMatrix, labels) -> float:
 
 
 def _layout(labels, frame_counts, v_total: int, batched: bool) -> tuple[np.ndarray, np.ndarray]:
-    """State counts (B,) and blank-interleaved label sequences (B, S_max) of
-    a batch, states past an utterance's own padded with id v_total.
+    """State counts (B,) and blank-interleaved label sequences (B, 2, S_max)
+    of a batch, of the labels and of the reversed labels, states past an
+    utterance's own padded with id v_total.
 
     Validates the label ids and raises InfeasibleAlignment unless some path
     of each utterance's frames can collapse to its labels; in a batch the
@@ -178,38 +193,47 @@ def _layout(labels, frame_counts, v_total: int, batched: bool) -> tuple[np.ndarr
             raise type(exc)(f"utterance {b}: {exc}") from None
         targets.append(target)
     n_states = np.array([2 * len(target) + 1 for target in targets])
-    ext = np.full((len(targets), n_states.max()), v_total, dtype=np.int64)
+    ext = np.full((len(targets), 2, n_states.max()), v_total, dtype=np.int64)
     for b, target in enumerate(targets):
-        ext[b, : n_states[b]] = v_total - 1
-        ext[b, 1 : n_states[b] : 2] = target
+        ext[b, :, : n_states[b]] = v_total - 1
+        ext[b, :, 1 : n_states[b] : 2] = target, target[::-1]
     return n_states, ext
 
 
-def _padded_flat(log_probs: np.ndarray) -> np.ndarray:
-    """The stacked log-probabilities with one more row and column of -inf,
-    flattened; `_emission_index` points padding there."""
-    padded = np.full((log_probs.shape[0] + 1, log_probs.shape[1] + 1), -np.inf)
-    padded[:-1, :-1] = log_probs
-    return padded.ravel()
+def _stack(values: np.ndarray, starts: np.ndarray, frame_counts: np.ndarray, ext: np.ndarray,
+           n_states: np.ndarray, pad: float, lead: int = 0) -> np.ndarray:
+    """(T_max, 2B, lead + S_max) emissions of B lattices, longest first: row
+    2b holds utterance b's rows values[starts[b] : starts[b] + T_b] at the
+    columns of its extended sequence ext[b], row 2b + 1 the same block
+    reversed in time and state, which is the lattice of the reversed labels
+    (the betas'). The `lead` columns and every cell past an utterance's own
+    frames or states hold `pad`."""
+    stack = np.full((frame_counts[0], 2 * len(frame_counts), lead + ext.shape[1]), pad)
+    for b, (start, t_b, s_b) in enumerate(zip(starts.tolist(), frame_counts.tolist(), n_states.tolist())):
+        block = values[start : start + t_b, ext[b, :s_b]]
+        stack[:t_b, 2 * b, lead : lead + s_b] = block
+        stack[:t_b, 2 * b + 1, lead : lead + s_b] = block[::-1, ::-1]
+    return stack
 
 
-def _emission_index(starts: np.ndarray, frame_counts: np.ndarray, ext: np.ndarray,
-                    v_total: int, reverse: bool = False) -> np.ndarray:
-    """(T_max, B, S_max) index into `_padded_flat` of each lattice cell's
-    emission: utterance b's frame t is stacked row starts[b] + t, or
-    starts[b] + T_b - 1 - t when reversed; padded frames read the -inf row
-    and padded states (id v_total) the -inf column."""
-    t = np.arange(frame_counts.max())[:, None]
-    rows = starts + frame_counts - 1 - t if reverse else starts + t
-    rows = np.where(t < frame_counts, rows, frame_counts.sum())
-    return rows[:, :, None] * (v_total + 1) + ext
+def _forward_order(lattice: np.ndarray, frame_counts: np.ndarray, n_states: np.ndarray,
+                   pad: float, lead: int = 0) -> np.ndarray:
+    """(T_max, B, S_max): the reversed rows of a lattice over a `_stack`, each
+    turned back to forward time and state order, `pad` past its own cells."""
+    t_max, n_rows, width = lattice.shape
+    back = np.full((t_max, n_rows // 2, width - lead), pad)
+    for b, (t_b, s_b) in enumerate(zip(frame_counts.tolist(), n_states.tolist())):
+        back[:t_b, b, :s_b] = lattice[:t_b, 2 * b + 1, lead : lead + s_b][::-1, ::-1]
+    return back
 
 
-def _reversed_states(ext: np.ndarray, n_states: np.ndarray) -> np.ndarray:
-    """Each row of `ext` with its first n_states entries reversed (the
-    extended sequence of the reversed labels), padding kept."""
-    back = n_states[:, None] - 1 - np.arange(ext.shape[1])
-    return np.where(back >= 0, np.take_along_axis(ext, np.maximum(back, 0), axis=1), ext)
+def _skip_into(ext: np.ndarray) -> np.ndarray:
+    """Where a path may skip into a state from two states back: into a label
+    that differs from the label two states back (never into a blank, since
+    two back is a blank too)."""
+    skip = np.zeros(ext.shape, dtype=bool)
+    skip[:, 2:] = ext[:, 2:] != ext[:, :-2]
+    return skip
 
 
 def _lattice_log(log_probs_ext: np.ndarray, ext: np.ndarray, frame_counts: np.ndarray) -> np.ndarray:
@@ -227,8 +251,7 @@ def _lattice_log(log_probs_ext: np.ndarray, ext: np.ndarray, frame_counts: np.nd
     a real one, since paths only move forward.
     """
     t_frames, n_rows, n_states = log_probs_ext.shape
-    skip_into = np.zeros(ext.shape, dtype=bool)
-    skip_into[:, 2:] = ext[:, 2:] != ext[:, :-2]  # false at blanks: two back is a blank too
+    skip_into = _skip_into(ext)
     lattice = np.full(log_probs_ext.shape, -np.inf)
     lattice[0, :, :2] = 0.0
     prev = np.full((n_rows, n_states + 2), -np.inf)  # the states two and one before state 0 stay empty
@@ -242,6 +265,47 @@ def _lattice_log(log_probs_ext: np.ndarray, ext: np.ndarray, frame_counts: np.nd
     return lattice
 
 
+def _lattice_scaled(probs_ext: np.ndarray, ext: np.ndarray,
+                    frame_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_lattice_log` in the probability domain with per-frame rescaling.
+
+    `probs_ext` is the stack of emission probabilities with two zero columns
+    in front of each row, which stand for the empty states before state 0.
+    Each frame, the previous frame's alphas of every live row are divided by
+    their maximum (that of the real cells, since padding has zero emissions),
+    so the lattice stays in range, and the log of that divisor is kept.
+    Returns the rescaled lattice and, per frame and row, the running sum of
+    the log divisors: the lattice times exp of it is the mass before the
+    frame's own emission. The divisor is at least the smallest normal float,
+    so a row whose alphas all vanish stays zero instead of turning NaN.
+    """
+    t_frames, n_rows, width = probs_ext.shape
+    skip_into = np.zeros((n_rows, width))
+    skip_into[:, 2:] = _skip_into(ext)
+    skip_into = skip_into.ravel()
+    lattice = np.zeros(probs_ext.shape)
+    lattice[0, :, 2:4] = 1.0
+    scales = np.ones((t_frames, n_rows))
+    alphas, skipped = np.empty(n_rows * width), np.empty(n_rows * width)
+    flat, emissions = lattice.reshape(t_frames, -1), probs_ext.reshape(t_frames, -1)
+    live = (frame_counts > np.arange(t_frames)[:, None]).sum(axis=1).tolist()
+    for t in range(1, t_frames):
+        # the live rows lie end to end; the two zero columns in front of each
+        # row are what its first states read one and two states back
+        n = live[t]
+        m = n * width
+        prev = alphas[:m]
+        np.multiply(flat[t - 1, :m], emissions[t - 1, :m], out=prev)
+        rows, top = prev.reshape(n, width), scales[t, :n]
+        np.maximum.reduce(rows, axis=1, out=top, initial=SMALLEST_NORMAL)
+        np.divide(rows, top[:, None], out=rows)
+        out = flat[t, 2:m]
+        np.add(prev[2:], prev[1:-1], out=out)
+        np.multiply(prev[:-2], skip_into[2:m], out=skipped[2:m])
+        out += skipped[2:m]
+    return lattice, np.cumsum(np.log(scales), axis=0)
+
+
 def _log_p(alphas: np.ndarray, frame_counts: np.ndarray, n_states: np.ndarray) -> np.ndarray:
     """Per-utterance log-probability: the mass in the last two states (the
     last one alone with no labels) at the last frame."""
@@ -249,6 +313,53 @@ def _log_p(alphas: np.ndarray, frame_counts: np.ndarray, n_states: np.ndarray) -
     last = alphas[frame_counts - 1, b]
     final = last[b, n_states - 1]
     return np.where(n_states > 1, np.logaddexp(last[b, n_states - 2], final), final)
+
+
+def _occupancy_scaled(probs: np.ndarray, starts: np.ndarray, frame_counts: np.ndarray,
+                      ext: np.ndarray, n_states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-utterance log p, the (T_max, B, S_max) state occupancies (each
+    state's share of the paths through it at each frame) and whether each
+    utterance's may be trusted, from the probability-domain lattice of the
+    utterances `probs[starts[b] : starts[b] + frame_counts[b]]`, longest
+    first, over their extended sequences `ext` (B, 2, S_max).
+
+    An utterance is trusted when each of its frames' occupancies sums to 1
+    within ROW_SUM_TOL, as every path passes one state per frame. A zero
+    final mass or an overflowing factor makes some sum inf or NaN, which
+    fails the check too.
+    """
+    stack = _stack(probs, starts, frame_counts, ext[:, 0], n_states, 0.0, lead=2)
+    lattice, log_scale = _lattice_scaled(stack, ext.reshape(-1, ext.shape[2]), np.repeat(frame_counts, 2))
+    b = np.arange(len(frame_counts))
+    last = frame_counts - 1
+    # columns n_states and n_states + 1 hold the last two states, or a zero
+    # lead column and the one state when there are no labels
+    final = lattice[last, 2 * b] * stack[last, 2 * b]
+    log_p = log_scale[last, 2 * b] + np.log(final[b, n_states] + final[b, n_states + 1])
+    t = np.arange(frame_counts[0])[:, None]
+    back_t = np.maximum(last - t, 0)
+    factor = np.exp(log_scale[:, ::2] + log_scale[back_t, 2 * b + 1] - log_p)
+    contrib = _forward_order(lattice, frame_counts, n_states, 0.0, lead=2)
+    contrib *= lattice[:, ::2, 2:]
+    contrib *= stack[:, ::2, 2:]
+    contrib *= factor[:, :, None]
+    off = np.abs(contrib.sum(axis=2) - 1.0)
+    trusted = np.all((off <= ROW_SUM_TOL) | (t > last), axis=0)
+    return log_p, contrib, trusted
+
+
+def _occupancy_log(log_probs: np.ndarray, starts: np.ndarray, frame_counts: np.ndarray,
+                   ext: np.ndarray, n_states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_occupancy_scaled`'s log p and occupancies from the log-domain
+    lattice, which is exact and needs no check. A zero-probability target
+    has log p = -inf and NaN occupancies."""
+    log_probs_ext = _stack(log_probs, starts, frame_counts, ext[:, 0], n_states, -np.inf)
+    lattice = _lattice_log(log_probs_ext, ext.reshape(-1, ext.shape[2]), np.repeat(frame_counts, 2))
+    alphas = np.add(lattice[:, ::2], log_probs_ext[:, ::2])
+    log_p = _log_p(alphas, frame_counts, n_states)
+    alphas += _forward_order(lattice, frame_counts, n_states, -np.inf)
+    alphas -= log_p[:, None]
+    return log_p, np.exp(alphas, out=alphas)
 
 
 def ctc_neg_log_likelihood(emissions: EmissionMatrix, labels) -> float:
@@ -262,10 +373,10 @@ def ctc_neg_log_likelihood(emissions: EmissionMatrix, labels) -> float:
         log_probs = np.log(emissions.probs)
     frame_counts = np.array([emissions.t_frames])
     n_states, ext = _layout([labels], frame_counts, emissions.v_total, batched=False)
-    index = _emission_index(np.zeros(1, dtype=np.int64), frame_counts, ext, emissions.v_total)
-    log_probs_ext = _padded_flat(log_probs)[index]
-    alphas = _lattice_log(log_probs_ext, ext, frame_counts) + log_probs_ext
-    return -float(_log_p(alphas, frame_counts, n_states)[0])
+    # a zero-probability target's occupancies are NaN (-inf minus -inf)
+    with np.errstate(invalid="ignore"):
+        log_p, _ = _occupancy_log(log_probs, np.zeros(1, dtype=np.int64), frame_counts, ext, n_states)
+    return -float(log_p[0])
 
 
 def _utterance(b: int, batched: bool) -> str:
@@ -322,43 +433,41 @@ def nll_and_gradient(logits: np.ndarray, labels, frame_counts=None) -> tuple[flo
         b = int(np.searchsorted(ends, nan_rows[0], side="right"))
         raise ValueError(f"{_utterance(b, batched)}CTC log-probability is nan: non-finite logits")
 
-    # longest first, each utterance's lattice beside its reversed one (the
-    # betas'), so the lattices still running at any frame are a prefix
+    # longest first, so the lattices still running at any frame are a prefix
     order = np.argsort(-frame_counts, kind="stable")
     counts, n_states, ext = frame_counts[order], n_states[order], ext[order]
     starts = (ends - frame_counts)[order]
-    ext_back = _reversed_states(ext, n_states)
-    index = np.stack([_emission_index(starts, counts, ext, v_total),
-                      _emission_index(starts, counts, ext_back, v_total, reverse=True)], axis=2)
-    t_max, n_utts, _, s_max = index.shape
-    log_probs_ext = _padded_flat(log_probs)[index]
-    lattice = _lattice_log(log_probs_ext.reshape(t_max, 2 * n_utts, s_max),
-                           np.stack([ext, ext_back], axis=1).reshape(2 * n_utts, s_max),
-                           np.repeat(counts, 2)).reshape(index.shape)
-    alphas = np.add(lattice[:, :, 0], log_probs_ext[:, :, 0], out=lattice[:, :, 0])
-    log_p = np.empty(n_utts)
-    log_p[order] = _log_p(alphas, counts, n_states)
-    zero = np.flatnonzero(log_p == -np.inf)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_p, contrib, trusted = _occupancy_scaled(probs, starts, counts, ext, n_states)
+        # an emission below the smallest normal float has lost digits, or is
+        # 0 in place of a tiny probability, alike in the alphas and the
+        # betas, where no occupancy sum can show it
+        if probs.min() < SMALLEST_NORMAL:
+            lost = ((probs < SMALLEST_NORMAL) & (log_probs > -np.inf)).any(axis=1)
+            trusted &= ~np.logical_or.reduceat(lost, ends - frame_counts)[order]
+        # an utterance the probability domain cannot vouch for is recomputed
+        # in the log domain, which also confirms a zero-probability target
+        redo = np.flatnonzero(~trusted)
+        if len(redo):
+            log_p[redo], contrib[: counts[redo[0]], redo] = _occupancy_log(
+                log_probs, starts[redo], counts[redo], ext[redo], n_states[redo])
+    nll = np.empty(len(counts))
+    nll[order] = -log_p
+    zero = np.flatnonzero(nll == np.inf)
     if len(zero):
         raise ValueError(
             f"{_utterance(zero[0], batched)}CTC log-probability is -inf: a zero-probability target"
         )
 
-    # betas back in forward order; at padded cells they read some real cell,
-    # harmless since the alphas there are -inf
-    back_t = np.maximum(counts - 1 - np.arange(t_max)[:, None], 0)
-    back_s = np.maximum(n_states[:, None] - 1 - np.arange(s_max), 0)
-    betas = lattice[back_t[:, :, None], np.arange(n_utts)[:, None], 1, back_s]
-
-    # occupancy: gamma[t, k] = sum over states with label k of exp(a + b - log_p),
-    # added in state order; padded cells land in the dropped row and column
-    contrib = np.add(alphas, betas, out=betas)
-    contrib -= log_p[order, None]
-    np.exp(contrib, out=contrib)
-    gamma = np.bincount(index[:, :, 0].ravel(), contrib.ravel(),
-                        minlength=(t_total + 1) * (v_total + 1))
+    # occupancy: gamma[t, k] = the sum of the occupancies of the states with
+    # label k, added in state order; padded frames land in the dropped row
+    # and padded states (id v_total) in the dropped column
+    t = np.arange(counts[0])[:, None]
+    rows = np.where(t < counts, starts + t, t_total)
+    index = rows[:, :, None] * (v_total + 1) + ext[:, 0]
+    gamma = np.bincount(index.ravel(), contrib.ravel(), minlength=(t_total + 1) * (v_total + 1))
     probs -= gamma.reshape(t_total + 1, v_total + 1)[:-1, :-1]
-    return sum((-log_p).tolist()), probs
+    return sum(nll.tolist()), probs
 
 
 def ctc_gradient(logits: np.ndarray, labels) -> np.ndarray:

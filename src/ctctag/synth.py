@@ -128,6 +128,8 @@ class SynthConfig(_JsonConfig):
     phrase_words: tuple[int, int] = (2, 2)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_utterances < 1 or self.n_utterances >= _EMBEDDING_STREAM:
             raise ValueError("n_utterances out of range")
         if self.feature_dim < 1:
@@ -493,12 +495,15 @@ def load_model(path: str | Path) -> ToyModel:
     if doc["version"] != MODEL_FILE_VERSION:
         raise UnsupportedVersion(f"{path}: model file version {doc['version']}")
     try:
+        receptive_field = doc["receptive_field"]
+        if type(receptive_field) is not int:  # bool is an int subclass
+            raise TypeError(f"receptive_field must be an integer, got {receptive_field!r}")
         return ToyModel(
             w1=np.asarray(doc["w1"], dtype=np.float64),
             b1=np.asarray(doc["b1"], dtype=np.float64),
             w2=np.asarray(doc["w2"], dtype=np.float64),
             b2=np.asarray(doc["b2"], dtype=np.float64),
-            receptive_field=int(doc["receptive_field"]),
+            receptive_field=receptive_field,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad model file: {exc}") from exc
@@ -520,6 +525,8 @@ class TrainConfig(_JsonConfig):
     hidden_width: int = 64
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.learning_rate <= 0 or not 0 <= self.momentum < 1:

@@ -319,6 +319,13 @@ class TestConfigDocuments:
         assert main([*_train_argv(pipeline, tmp_path / "t"), "--config", str(cfg_path)]) == 2
         cfg_path.write_text(json.dumps({"epochs": 0}))
         assert main([*_train_argv(pipeline, tmp_path / "t"), "--config", str(cfg_path)]) == 1
+        # a negative seed, from a document or a flag, is out of range too
+        cfg_path.write_text(json.dumps({"seed": -1}))
+        gen_data = ["gen-data", "--out", str(tmp_path / "g"), "--n-utterances", "3"]
+        assert main([*gen_data, "--config", str(cfg_path)]) == 1
+        assert main([*gen_data, "--seed", "-1"]) == 1
+        assert main([*_train_argv(pipeline, tmp_path / "t"), "--config", str(cfg_path)]) == 1
+        assert main([*_train_argv(pipeline, tmp_path / "t"), "--seed", "-1"]) == 1
 
     def test_config_json_echo_reads_back_as_the_same_configs(self, pipeline, tmp_path):
         data = pipeline["data"]
@@ -456,6 +463,22 @@ class TestDataErrors:
             "--vocab", str(data / "vocab.json"), "--out", str(tmp_path / "o"),
         ]) == 2
 
+    @pytest.mark.parametrize("uid", ["../../escaped", "sub/name", "", ".", ".."])
+    def test_decode_id_that_is_not_a_file_name(self, pipeline, tmp_path, uid):
+        # decode writes transcripts/{id}.json, so the id must not leave it
+        data = pipeline["data"]
+        (tmp_path / "features").symlink_to(data / "features")
+        lines = (data / "manifest_heldout.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        record["id"] = uid
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n")
+        assert main([
+            "decode", "--model", str(pipeline["model"] / "model.json"), "--manifest", str(manifest),
+            "--vocab", str(data / "vocab.json"), "--out", str(tmp_path / "out" / "dec"),
+        ]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features", "manifest.jsonl"]
+
     def test_unknown_word_in_manifest(self, tmp_path, calendar_registry):
         vocab_path = tmp_path / "vocab.json"
         c.save_vocab(calendar_registry, vocab_path)
@@ -543,16 +566,21 @@ class TestOneFieldMutations:
         self.sweep(runs, (0, 2))
 
     def test_model_json(self, pipeline, tmp_path):
+        # every field is checked, so every mutation is a data error; the
+        # receptive field also takes an integer's other JSON spellings
         data = pipeline["data"]
         doc = json.loads((pipeline["model"] / "model.json").read_text())
+        mutants = [*_mutants(doc, list(doc)),
+                   *((f"receptive_field={value!r}", {**doc, "receptive_field": value})
+                     for value in (str(doc["receptive_field"]), float(doc["receptive_field"]), True))]
         runs = []
-        for label, mutant in _mutants(doc, list(doc)):
+        for label, mutant in mutants:
             model = tmp_path / "model.json"
             model.write_text(json.dumps(mutant))
             runs.append((label, _exit_code([
                 "decode", "--model", model, "--manifest", data / "manifest_heldout.jsonl",
                 "--vocab", data / "vocab.json", "--out", tmp_path / "d"])))
-        self.sweep(runs, (0, 2))
+        self.sweep(runs, (2,))
 
     def test_gen_data_config(self, tmp_path):
         doc = c.SynthConfig(n_utterances=3).to_dict()

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctctag as c
+from ctctag import ctc
 from ctctag.ctc import min_frames
 from ctctag.formats import EMISSION_KIND_PROBS
 
@@ -318,27 +319,129 @@ class TestGradient:
         assert nll_after < nll
 
 
+def log_domain_reference(logits, labels):
+    """NLL and gradient by a per-frame log-space forward-backward over one
+    utterance's extended sequence, written out independently of the package
+    (Graves et al. 2006, eqs. 6-16): the exact reference of the accuracy
+    contract, valid for logits far beyond what probabilities can hold."""
+    logits = np.asarray(logits, dtype=np.float64)
+    t_frames, v_total = logits.shape
+    row_max = logits.max(axis=1, keepdims=True)
+    log_probs = logits - row_max - np.log(np.exp(logits - row_max).sum(axis=1, keepdims=True))
+    blank = v_total - 1
+    ext = [blank]
+    for k in labels:
+        ext += [k, blank]
+    n_states = len(ext)
+    emit = log_probs[:, ext]  # labels and blank: never -inf below
+    skip_into = np.array([s >= 2 and ext[s] != ext[s - 2] for s in range(n_states)])
+    skip_out = np.append(skip_into[2:], [False, False])  # from s to s + 2
+
+    alpha = np.full((t_frames, n_states), -np.inf)
+    alpha[0, :2] = emit[0, :2]
+    for t in range(1, t_frames):
+        prev = alpha[t - 1]
+        mass = prev.copy()
+        mass[1:] = np.logaddexp(mass[1:], prev[:-1])
+        mass[2:] = np.where(skip_into[2:], np.logaddexp(mass[2:], prev[:-2]), mass[2:])
+        alpha[t] = mass + emit[t]
+    beta = np.full((t_frames, n_states), -np.inf)
+    beta[-1, -2:] = emit[-1, -2:]
+    for t in range(t_frames - 2, -1, -1):
+        nxt = beta[t + 1]
+        mass = nxt.copy()
+        mass[:-1] = np.logaddexp(mass[:-1], nxt[1:])
+        mass[:-2] = np.where(skip_out[:-2], np.logaddexp(mass[:-2], nxt[2:]), mass[:-2])
+        beta[t] = mass + emit[t]
+    log_p = np.logaddexp.reduce(alpha[-1, -2:])
+    occupancy = np.exp(alpha + beta - emit - log_p)
+    grad = np.exp(log_probs)
+    for s, k in enumerate(ext):
+        grad[:, k] -= occupancy[:, s]
+    return -log_p, grad
+
+
+def draw_utterance(rng, scale, t_frames, v_total, off_path):
+    """Logits (T, V) at `scale` and labels that fit T frames; with off_path,
+    a token outside the labels gets -inf logits."""
+    labels = [int(k) for k in rng.integers(0, v_total - 1, size=int(rng.integers(0, t_frames + 1)))]
+    while min_frames(labels) > t_frames:
+        labels.pop()
+    logits = rng.normal(size=(t_frames, v_total)) * scale
+    unused = [k for k in range(v_total - 1) if k not in labels]
+    if off_path and unused:
+        logits[:, rng.choice(unused)] = -np.inf
+    return logits, labels
+
+
+class TestAccuracyContract:
+    """nll_and_gradient against the log-space reference: NLL within 1e-12
+    relative (absolute below 1), gradient within 1e-8, at logit scales from
+    where the probability-domain lattice always holds to where it falls back
+    to the log domain."""
+
+    @given(st.sampled_from([1, 10, 30, 60, 100, 300, 1000]), st.integers(1, 100),
+           st.integers(2, 50), st.booleans(), st.integers(0, 2**32 - 1))
+    # underflowed emissions hide the likeliest paths from both directions
+    # alike, so the occupancies still sum to 1 (NLL off by 297 unchecked)
+    @example(scale=300, t_frames=12, v_total=20, off_path=False, seed=8776)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_log_domain_reference(self, scale, t_frames, v_total, off_path, seed):
+        logits, labels = draw_utterance(np.random.default_rng(seed), scale, t_frames, v_total, off_path)
+        nll, grad = c.nll_and_gradient(logits, labels)
+        ref_nll, ref_grad = log_domain_reference(logits, labels)
+        assert abs(nll - ref_nll) <= 1e-12 * max(1.0, abs(ref_nll))
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-8
+
+    def test_falls_back_only_when_a_result_cannot_be_trusted(self, monkeypatch):
+        log_domain_calls = []
+        lattice_log = ctc._lattice_log
+
+        def counted(*args):
+            log_domain_calls.append(args[0].shape)
+            return lattice_log(*args)
+
+        monkeypatch.setattr(ctc, "_lattice_log", counted)
+        rng = np.random.default_rng(5)
+        batch = [draw_utterance(rng, 3, int(rng.integers(10, 60)), 20, False) for _ in range(16)]
+        c.nll_and_gradient(np.vstack([x for x, _ in batch]), [y for _, y in batch],
+                           [len(x) for x, _ in batch])
+        assert log_domain_calls == []
+        # the likeliest paths start with a token of probability e^-750, which
+        # is 0 in float64, so the probability domain alone would give the
+        # NLL of the one path left (about 801.4); the check sends it back
+        logits = np.array([[-750.0, 0.0, -700.0], [-100.0, 0.0, 0.0], [-1000.0, 0.0, 0.0]])
+        nll, grad = c.nll_and_gradient(logits, [0, 1])
+        assert len(log_domain_calls) == 1
+        assert nll == pytest.approx(750 + 2 * math.log(2) - math.log(3), rel=1e-12)
+        assert np.max(np.abs(grad - log_domain_reference(logits, [0, 1])[1])) <= 1e-8
+
+
 # one utterance of a batch: label ids (below the blank), frames beyond the
-# fewest its labels need, and whether a token off its path gets -inf logits
+# fewest its labels need, whether a token off its path gets -inf logits, and
+# the scale of its logits (the largest ones make the probability-domain
+# lattice fall back to the log domain)
 utterances = st.tuples(
     st.lists(st.integers(min_value=0, max_value=3), max_size=4),
     st.integers(min_value=0, max_value=3),
     st.booleans(),
+    st.sampled_from([1, 3, 30, 300, 1000]),
 )
 
 
 class TestBatch:
     @given(st.lists(utterances, min_size=1, max_size=6), st.integers(0, 2**32 - 1))
-    @example([([], 0, False), ([1, 1, 0], 0, True), ([2], 3, False)], 0)  # T=1, one-sided repeat
-    @example([([0, 0], 0, False)], 1)  # a batch of one, at its fewest frames
+    @example([([], 0, False, 3), ([1, 1, 0], 0, True, 3), ([2], 3, False, 3)], 0)  # T=1, one-sided repeat
+    @example([([0, 0], 0, False, 3)], 1)  # a batch of one, at its fewest frames
+    @example([([0, 1], 5, False, 3), ([1, 2, 3], 2, True, 1000), ([], 4, False, 1)], 2)
     @settings(max_examples=60, deadline=None)
     def test_equals_the_per_utterance_calls_bitwise(self, batch, seed):
         rng = np.random.default_rng(seed)
         v_total = 6  # labels stop at 3, so token 4 is always off the path
         logits, labels = [], []
-        for target, extra, off_path in batch:
+        for target, extra, off_path, scale in batch:
             frames = max(1, min_frames(target) + extra)
-            rows = rng.normal(size=(frames, v_total)) * 3
+            rows = rng.normal(size=(frames, v_total)) * scale
             if off_path:
                 unused = [k for k in range(v_total - 1) if k not in target]
                 rows[:, rng.choice(unused)] = -np.inf
