@@ -36,6 +36,7 @@ from .errors import (
     FormatError,
     InfeasibleAlignment,
     InvalidToken,
+    InvalidValue,
     NoFreePlaceholder,
     NotCanonical,
     ShapeError,
@@ -43,6 +44,7 @@ from .errors import (
     TruncatedFile,
     UnknownToken,
     UnsupportedVersion,
+    UsageError,
 )
 from .evaluate import (
     EvalReport,

@@ -2,7 +2,9 @@
 
 Every run writes a config.json echo of its effective settings beside its
 outputs, and identical flags plus seeds reproduce byte-identical files.
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error (`UsageError`), 2 data error (any
+other `CtcTagError`, or an `OSError`). Any other exception is a bug and
+escapes with its traceback.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import fields
 from pathlib import Path, PurePath
 
 from .decoder import check_width, emit_timeline, greedy_decode
-from .errors import AlignmentError, CtcTagError, FormatError
+from .errors import AlignmentError, CtcTagError, FormatError, UsageError
 from .evaluate import evaluate_corpus
 from .formats import load_emission_matrix, read_feature_file
 from .synth import (
@@ -32,26 +34,19 @@ from .synth import (
     write_manifest,
 )
 from .tag_parser import parse, transcript_to_dict
-from .vocab import decode_tokens, encode_tagged_text, load_vocab, save_vocab, vocab_document
-
-
-class UsageError(Exception):
-    """Bad flags or flag values; maps to exit code 1."""
+from .vocab import (
+    decode_tokens,
+    encode_tagged_text,
+    load_vocab,
+    read_json_object,
+    save_vocab,
+    vocab_document,
+)
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _read_json(path: str | Path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: expected a JSON object")
-    return doc
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -131,26 +126,20 @@ def _build_parser() -> _Parser:
 
 def _config(cls, args):
     """`cls` from the --config document, overridden by every flag named
-    after one of its fields. A value out of range is a usage error."""
-    doc = _read_json(args.config) if args.config else {}
+    after one of its fields."""
+    doc = read_json_object(args.config) if args.config else {}
     names = {f.name for f in fields(cls)}
     doc.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
-    try:
-        return cls.from_dict(doc)
-    except ValueError as exc:
-        raise UsageError(f"bad {cls.__name__}: {exc}") from exc
+    return cls.from_dict(doc)
 
 
 def _cmd_gen_data(args) -> None:
     cfg = _config(SynthConfig, args)
-    try:
-        if args.placeholders < 1:
-            raise ValueError("--placeholders must be >= 1")
-        if args.split is not None and not 1 <= args.split < cfg.n_utterances:
-            raise ValueError("--split must be between 1 and n_utterances - 1")
-        registry = build_registry(cfg, placeholder_count=args.placeholders)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.placeholders < 1:
+        raise UsageError("--placeholders must be >= 1")
+    if args.split is not None and not 1 <= args.split < cfg.n_utterances:
+        raise UsageError("--split must be between 1 and n_utterances - 1")
+    registry = build_registry(cfg, placeholder_count=args.placeholders)
     out = _out_dir(args)
     save_vocab(registry, out / "vocab.json")
     records = gen_corpus(cfg, registry, out)
@@ -205,13 +194,19 @@ def _cmd_decode(args) -> None:
         model = load_model(args.model)
         for record in read_manifest(args.manifest):
             # the id names the transcript file, so it must stay in transcripts/
-            if record.uid in ("", ".", "..") or PurePath(record.uid).name != record.uid:
-                raise FormatError(f"{args.manifest}: id {record.uid!r} is not a file name")
+            uid = record.uid
+            if uid in ("", ".", "..") or PurePath(uid).name != uid or "\0" in uid:
+                raise FormatError(f"{args.manifest}: id {uid!r} is not a file name")
             feats = read_feature_file(manifest_feature_path(args.manifest, record.feature_path))
-            inputs.append((record.uid, record.feature_path, model.predict(feats)))
+            inputs.append((uid, record.feature_path, model.predict(feats)))
     else:
+        path_of_stem: dict[str, str] = {}
         for path in args.emissions:
-            inputs.append((Path(path).stem, path, load_emission_matrix(path)))
+            stem = Path(path).stem
+            if stem in path_of_stem:
+                raise FormatError(f"{path_of_stem[stem]} and {path} both decode to {stem}.json")
+            path_of_stem[stem] = path
+            inputs.append((stem, path, load_emission_matrix(path)))
 
     out = _out_dir(args)
     (out / "transcripts").mkdir(exist_ok=True)
@@ -236,8 +231,6 @@ def _cmd_eval(args) -> None:
     ref_records = read_manifest(args.ref)
     hyp_records = read_manifest(args.hyp)
     hyp_by_id = {r.uid: r for r in hyp_records}
-    if len(hyp_by_id) != len(hyp_records):
-        raise FormatError(f"{args.hyp}: duplicate utterance ids")
     missing = [r.uid for r in ref_records if r.uid not in hyp_by_id]
     if missing:
         raise AlignmentError(f"{args.hyp}: no hypothesis for {missing[0]}")
@@ -313,7 +306,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (CtcTagError, OSError, ValueError) as exc:
+    except (CtcTagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

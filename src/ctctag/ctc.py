@@ -46,6 +46,7 @@ import numpy as np
 from .errors import (
     BlankInLabelSequence,
     InfeasibleAlignment,
+    InvalidValue,
     ShapeError,
     TooLargeForOracle,
     UnknownToken,
@@ -72,10 +73,10 @@ class EmissionMatrix:
             raise ShapeError(f"emissions need T >= 1 and V_total >= 2, got {arr.shape}")
         # written so that NaN, which fails every comparison, is rejected too
         if not (arr.min() >= 0.0 and arr.max() <= 1.0):
-            raise ValueError("emission entries must lie in [0, 1]")
+            raise InvalidValue("emission entries must lie in [0, 1]")
         if not rows_sum_to_one(arr, ROW_SUM_TOL):
             worst = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
-            raise ValueError(f"emission rows must sum to 1 within {ROW_SUM_TOL}, off by {worst}")
+            raise InvalidValue(f"emission rows must sum to 1 within {ROW_SUM_TOL}, off by {worst}")
         arr.setflags(write=False)
         self.probs = arr
 
@@ -103,7 +104,7 @@ class EmissionMatrix:
             raise ShapeError(f"emissions must be 2-D, got shape {arr.shape}")
         sums = arr.sum(axis=1, keepdims=True)
         if np.any(sums <= 0.0):
-            raise ValueError("cannot renormalize rows with non-positive sums")
+            raise InvalidValue("cannot renormalize rows with non-positive sums")
         return cls(np.clip(arr / sums, 0.0, 1.0))
 
     def __repr__(self) -> str:
@@ -117,7 +118,7 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     row_max = arr.max(axis=1, keepdims=True)
     # +inf, NaN, or a row that is all -inf: the shift below would be NaN
     if not np.isfinite(row_max).all():
-        raise ValueError("non-finite logits")
+        raise InvalidValue("non-finite logits")
     exp = np.exp(arr - row_max)
     return exp / exp.sum(axis=1, keepdims=True)
 
@@ -392,7 +393,7 @@ def nll_and_gradient(logits: np.ndarray, labels, frame_counts=None) -> tuple[flo
     logits. All B lattices run through one recursion. Without it, `logits`
     and `labels` are one utterance's.
 
-    Raises ValueError when a loss is not finite: NaN or infinite logits, or
+    Raises InvalidValue when a loss is not finite: NaN or infinite logits, or
     labels that every path gives probability zero. In a batch, this and the
     label and feasibility errors name the utterance.
     """
@@ -431,7 +432,7 @@ def nll_and_gradient(logits: np.ndarray, labels, frame_counts=None) -> tuple[flo
     nan_rows = np.flatnonzero(np.isnan(log_norm[:, 0]))
     if len(nan_rows):
         b = int(np.searchsorted(ends, nan_rows[0], side="right"))
-        raise ValueError(f"{_utterance(b, batched)}CTC log-probability is nan: non-finite logits")
+        raise InvalidValue(f"{_utterance(b, batched)}CTC log-probability is nan: non-finite logits")
 
     # longest first, so the lattices still running at any frame are a prefix
     order = np.argsort(-frame_counts, kind="stable")
@@ -455,7 +456,7 @@ def nll_and_gradient(logits: np.ndarray, labels, frame_counts=None) -> tuple[flo
     nll[order] = -log_p
     zero = np.flatnonzero(nll == np.inf)
     if len(zero):
-        raise ValueError(
+        raise InvalidValue(
             f"{_utterance(zero[0], batched)}CTC log-probability is -inf: a zero-probability target"
         )
 

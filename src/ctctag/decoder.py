@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctc import EmissionMatrix
-from .errors import ShapeError
+from .errors import InvalidValue, ShapeError
 from .vocab import TagRegistry, Vocabulary
 
 
@@ -61,7 +61,7 @@ class StreamingDecoder:
 
     Feed rows with `push`; each call returns the labels committed by that
     frame (a run is committed once a different argmax value arrives); a row
-    with a NaN entry raises ValueError and is not taken in. `result()`
+    with a NaN entry raises InvalidValue and is not taken in. `result()`
     matches `greedy_decode` of all rows seen so far, including the
     still-open run. One instance belongs to one stream; not thread-safe.
     """
@@ -99,7 +99,7 @@ class StreamingDecoder:
         value = int(np.argmax(row))
         t = len(self._path)
         if row[value] != row[value]:  # argmax stops at the first NaN
-            raise ValueError(f"stream row {t} contains NaN")
+            raise InvalidValue(f"stream row {t} contains NaN")
         blank_id = self._v_total - 1
         prev = self._path[-1] if t else blank_id
         self._path.append(value)

@@ -1,8 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every failure this package raises on purpose is a `CtcTagError`; the
+command line maps `UsageError` to exit code 1 and every other `CtcTagError`
+(and `OSError`) to exit code 2. Anything else escapes with a traceback,
+because it is a bug. A plain `ValueError` is left only for a caller's
+programming error, such as an unknown emission kind passed to
+`write_emission_file`.
+"""
 
 
 class CtcTagError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package on purpose."""
+
+
+class UsageError(CtcTagError, ValueError):
+    """A flag or config value is out of range (exit code 1)."""
+
+
+class InvalidValue(CtcTagError, ValueError):
+    """A number is non-finite or out of range, a target has probability zero,
+    or no usable sample is left (exit code 2)."""
 
 
 class DuplicateToken(CtcTagError):

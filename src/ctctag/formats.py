@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ctc import EmissionMatrix, rows_sum_to_one
-from .errors import FormatError, ShapeError, TruncatedFile, UnsupportedVersion
+from .errors import FormatError, InvalidValue, ShapeError, TruncatedFile, UnsupportedVersion
 
 EMISSION_MAGIC = b"CTCL"
 FEATURE_MAGIC = b"CTCF"
@@ -48,7 +48,7 @@ def write_emission_file(path: str | Path, array: np.ndarray, kind: int) -> None:
     narrowed = arr.astype("<f4")
     if kind == EMISSION_KIND_PROBS:
         if not rows_sum_to_one(narrowed.astype(np.float64), STORED_ROW_SUM_TOL):
-            raise ValueError("probability rows must sum to 1 within the storage tolerance")
+            raise InvalidValue("probability rows must sum to 1 within the storage tolerance")
     header = _EMISSION_HEADER.pack(
         EMISSION_MAGIC, FORMAT_VERSION, kind, 0, arr.shape[0], arr.shape[1]
     )
@@ -82,7 +82,9 @@ def _read_rows(path, layout: struct.Struct, magic: bytes, what: str, width_name:
     if payload > expected:
         raise FormatError(f"{path}: {payload - expected} trailing bytes")
     arr = np.frombuffer(buf, dtype="<f4", offset=layout.size).reshape(t_frames, width)
-    return fields, arr.astype(np.float64)
+    # a signaling NaN widens to a quiet one; that is no reason to warn
+    with np.errstate(invalid="ignore"):
+        return fields, arr.astype(np.float64)
 
 
 def _check_emission_fields(path, kind: int, reserved: int) -> None:
@@ -121,5 +123,8 @@ def write_feature_file(path: str | Path, array: np.ndarray) -> None:
 
 
 def read_feature_file(path: str | Path) -> np.ndarray:
+    """Read a feature file; FormatError if a feature is NaN or infinite."""
     _, arr = _read_rows(path, _FEATURE_HEADER, FEATURE_MAGIC, "feature", "m", 1)
+    if not np.isfinite(arr).all():
+        raise FormatError(f"{path}: features must be finite numbers")
     return arr

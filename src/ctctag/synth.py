@@ -27,12 +27,22 @@ from .ctc import EmissionMatrix
 from .errors import (
     FormatError,
     InfeasibleAlignment,
+    InvalidValue,
     ShapeError,
     UnknownToken,
     UnsupportedVersion,
+    UsageError,
 )
 from .formats import read_feature_file, write_feature_file
-from .vocab import TagKind, TagRegistry, build_vocab, assign_tag, encode_tagged_text
+from .vocab import (
+    TagKind,
+    TagRegistry,
+    assign_tag,
+    build_vocab,
+    encode_tagged_text,
+    read_json_object,
+    read_text,
+)
 
 # rng stream index for the embedding table; utterance streams use the
 # utterance index, which stays below 2**32
@@ -129,15 +139,15 @@ class SynthConfig(_JsonConfig):
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise UsageError("seed must be >= 0")
         if self.n_utterances < 1 or self.n_utterances >= _EMBEDDING_STREAM:
-            raise ValueError("n_utterances out of range")
+            raise UsageError("n_utterances out of range")
         if self.feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
+            raise UsageError("feature_dim must be >= 1")
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+            raise UsageError("noise_sigma must be >= 0")
         if not 0.0 <= self.speaker_change_probability <= 1.0:
-            raise ValueError("speaker_change_probability must be in [0, 1]")
+            raise UsageError("speaker_change_probability must be in [0, 1]")
         for name, (lo, hi) in (
             ("frames_per_token", self.frames_per_token),
             ("entities_per_utterance", self.entities_per_utterance),
@@ -145,42 +155,42 @@ class SynthConfig(_JsonConfig):
             ("phrase_words", self.phrase_words),
         ):
             if lo > hi:
-                raise ValueError(f"{name} range {lo}..{hi} is empty")
+                raise UsageError(f"{name} range {lo}..{hi} is empty")
         if self.frames_per_token[0] < 1:
-            raise ValueError("frames_per_token must be >= 1")
+            raise UsageError("frames_per_token must be >= 1")
         if self.fillers_per_utterance[0] < 1:
-            raise ValueError("each utterance needs at least the intent lead word")
+            raise UsageError("each utterance needs at least the intent lead word")
         if self.entities_per_utterance[0] < 0:
-            raise ValueError("entities_per_utterance must be >= 0")
+            raise UsageError("entities_per_utterance must be >= 0")
         if self.entities_per_utterance[1] > len(self.entity_types):
-            raise ValueError("entities_per_utterance exceeds the number of entity types")
+            raise UsageError("entities_per_utterance exceeds the number of entity types")
         if self.entities_per_utterance[1] > self.fillers_per_utterance[0]:
-            raise ValueError(
+            raise UsageError(
                 "entities_per_utterance must not exceed the filler minimum: "
                 "every entity phrase needs its own preceding filler word"
             )
         if len(self.filler_lexicon) < 2:
-            raise ValueError("filler lexicon needs at least 2 words")
+            raise UsageError("filler lexicon needs at least 2 words")
         if self.phrase_words[0] < 1:
-            raise ValueError("phrase_words must be >= 1")
+            raise UsageError("phrase_words must be >= 1")
         if self.entity_types and self.phrase_words[1] > min(
             len(v) for v in self.entity_types.values()
         ):
-            raise ValueError("phrase_words exceeds the smallest entity lexicon")
+            raise UsageError("phrase_words exceeds the smallest entity lexicon")
         if not self.intents:
-            raise ValueError("need at least one intent")
+            raise UsageError("need at least one intent")
         seen: dict[str, str] = {}
         lexicons = [("filler", self.filler_lexicon)]
         lexicons += [(f"intent {k}", v) for k, v in self.intents.items()]
         lexicons += [(f"entity {k}", v) for k, v in self.entity_types.items()]
         for group, words in lexicons:
             if not words:
-                raise ValueError(f"{group} lexicon is empty")
+                raise UsageError(f"{group} lexicon is empty")
             for w in words:
                 if not w or w.split() != [w] or any(c in w for c in "@!<>"):
-                    raise ValueError(f"bad lexicon word {w!r} in {group}")
+                    raise UsageError(f"bad lexicon word {w!r} in {group}")
                 if w in seen:
-                    raise ValueError(f"{w!r} appears in both {seen[w]} and {group}")
+                    raise UsageError(f"{w!r} appears in both {seen[w]} and {group}")
                 seen[w] = group
 
     def all_words(self) -> list[str]:
@@ -200,7 +210,7 @@ def build_registry(cfg: SynthConfig, placeholder_count: int = 16) -> TagRegistry
     """Vocabulary over the grammar's words plus bindings for every tag."""
     needed = len(cfg.intents) + len(cfg.entity_types) + 2
     if placeholder_count < needed:
-        raise ValueError(f"need at least {needed} placeholders for this grammar")
+        raise UsageError(f"need at least {needed} placeholders for this grammar")
     registry = TagRegistry(build_vocab(cfg.all_words(), placeholder_count))
     for name in sorted(cfg.intents):
         registry = assign_tag(registry, f"@{name}@", TagKind.INTENT)
@@ -356,17 +366,23 @@ def write_manifest(path: str | Path, records: list[UtteranceRecord]) -> None:
 
 
 def read_manifest(path: str | Path) -> list[UtteranceRecord]:
+    """One record per non-blank line; FormatError naming the line for a bad
+    line or an id that an earlier line holds."""
     records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    line_of_id: dict[str, int] = {}
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
             doc = json.loads(line)
             values = [doc[key] for key in ("id", "tagged_text", "features")]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise FormatError(f"{path}:{lineno}: bad manifest line: {exc}") from exc
         if not all(isinstance(v, str) for v in values):
             raise FormatError(f"{path}:{lineno}: id, tagged_text and features must be strings")
+        first = line_of_id.setdefault(values[0], lineno)
+        if first != lineno:
+            raise FormatError(f"{path}:{lineno}: id {values[0]!r} repeats line {first}")
         records.append(UtteranceRecord(*values))
     return records
 
@@ -374,11 +390,11 @@ def read_manifest(path: str | Path) -> list[UtteranceRecord]:
 def manifest_feature_path(manifest_path: str | Path, feature_path: str) -> Path:
     """The file a manifest's feature path names, relative to the manifest's
     directory. FormatError if it is absolute or contains '..', since it
-    would then leave that directory."""
+    would then leave that directory, or holds a NUL, which no path can."""
     rel = PurePath(feature_path)
-    if rel.is_absolute() or ".." in rel.parts:
+    if rel.is_absolute() or ".." in rel.parts or "\0" in feature_path:
         raise FormatError(
-            f"{manifest_path}: feature path {feature_path!r} must be relative, without '..'"
+            f"{manifest_path}: feature path {feature_path!r} must be relative, without '..' or NUL"
         )
     return Path(manifest_path).parent / rel
 
@@ -409,7 +425,7 @@ class ToyModel:
 
     def __post_init__(self):
         if self.receptive_field < 1 or self.receptive_field % 2 == 0:
-            raise ValueError("receptive_field must be odd and >= 1")
+            raise InvalidValue("receptive_field must be odd and >= 1")
         if (self.w1.ndim, self.b1.ndim, self.w2.ndim, self.b2.ndim) != (2, 1, 2, 1):
             raise ShapeError("w1 and w2 must be 2-D, b1 and b2 1-D")
         if self.w1.shape[0] % self.receptive_field != 0:
@@ -486,11 +502,10 @@ def save_model(model: ToyModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ToyModel:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not a model file: {exc}") from exc
-    if not isinstance(doc, dict) or "version" not in doc:
+    """FormatError for a file that is not a model, whose fields have the
+    wrong type or shape, or whose weights are not all finite."""
+    doc = read_json_object(path)
+    if "version" not in doc:
         raise FormatError(f"{path}: not a model file")
     if doc["version"] != MODEL_FILE_VERSION:
         raise UnsupportedVersion(f"{path}: model file version {doc['version']}")
@@ -498,7 +513,7 @@ def load_model(path: str | Path) -> ToyModel:
         receptive_field = doc["receptive_field"]
         if type(receptive_field) is not int:  # bool is an int subclass
             raise TypeError(f"receptive_field must be an integer, got {receptive_field!r}")
-        return ToyModel(
+        model = ToyModel(
             w1=np.asarray(doc["w1"], dtype=np.float64),
             b1=np.asarray(doc["b1"], dtype=np.float64),
             w2=np.asarray(doc["w2"], dtype=np.float64),
@@ -507,6 +522,10 @@ def load_model(path: str | Path) -> ToyModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad model file: {exc}") from exc
+    # json reads NaN and Infinity as floats
+    if not all(np.isfinite(w).all() for w in (model.w1, model.b1, model.w2, model.b2)):
+        raise FormatError(f"{path}: weights must be finite numbers")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +545,13 @@ class TrainConfig(_JsonConfig):
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise UsageError("seed must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+            raise UsageError("epochs and batch_size must be >= 1")
         if self.learning_rate <= 0 or not 0 <= self.momentum < 1:
-            raise ValueError("bad optimizer settings")
+            raise UsageError("bad optimizer settings")
         if self.receptive_field < 1 or self.receptive_field % 2 == 0 or self.hidden_width < 1:
-            raise ValueError("receptive_field must be odd and >= 1, hidden_width >= 1")
+            raise UsageError("receptive_field must be odd and >= 1, hidden_width >= 1")
 
 
 def load_training_samples(
@@ -558,12 +577,13 @@ def train(
     """SGD with momentum on the mean per-utterance CTC loss.
 
     Returns the model and one mean-loss entry per epoch. Utterances whose
-    label sequence cannot fit their frame count are skipped with a warning.
+    label sequence cannot fit their frame count are skipped with a warning;
+    one whose feature width differs from the first's is a ShapeError.
     Pass init_model to continue from earlier weights, e.g. fine-tuning a
     transcription-only model after its placeholders are bound to tags.
     """
     if not samples:
-        raise ValueError("no training samples")
+        raise InvalidValue("no training samples")
     feature_dim = samples[0][0].shape[1]
     rng = np.random.default_rng(cfg.seed)
     if init_model is not None:
@@ -593,6 +613,9 @@ def train(
 
     usable = []
     for i, (features, labels) in enumerate(samples):
+        if features.shape[1] != feature_dim:
+            raise ShapeError(f"utterance {i} has {features.shape[1]} features per frame, "
+                             f"utterance 0 has {feature_dim}")
         need = ctc.min_frames(labels)
         if features.shape[0] < need:
             warnings.warn(
@@ -602,7 +625,7 @@ def train(
             continue
         usable.append((features, list(labels)))
     if not usable:
-        raise ValueError("every sample was infeasible")
+        raise InvalidValue("every sample was infeasible")
 
     params = [model.w1, model.b1, model.w2, model.b2]
     velocity = [np.zeros_like(p) for p in params]

@@ -27,6 +27,7 @@ from .errors import (
     NoFreePlaceholder,
     UnknownToken,
     UnsupportedVersion,
+    UsageError,
 )
 
 PLACEHOLDER_TEMPLATE = "<unused_{}>"
@@ -67,13 +68,21 @@ class TagBinding:
 
 
 class Vocabulary:
-    """Immutable token table: L transcription ids, D placeholder ids, blank last."""
+    """Immutable token table: L transcription ids, D placeholder ids, blank last.
+
+    Every surface is one non-empty token without whitespace, and no two are
+    equal, so decoded text splits back into the ids it came from.
+    """
 
     def __init__(self, tokens: list[tuple[str, TokenRole]]):
         self.tokens = tuple(tokens)
-        self._id_by_surface = {s: i for i, (s, _) in enumerate(self.tokens)}
-        if len(self._id_by_surface) != len(self.tokens):
-            raise DuplicateToken("vocabulary surfaces are not unique")
+        self._id_by_surface = {}
+        for i, (surface, _) in enumerate(self.tokens):
+            if not surface or surface.split() != [surface]:
+                raise InvalidToken(f"bad surface {surface!r} at id {i}")
+            first = self._id_by_surface.setdefault(surface, i)
+            if first != i:
+                raise DuplicateToken(f"surface {surface!r} at ids {first} and {i}")
         roles = [r for _, r in self.tokens]
         self.l_count = sum(1 for r in roles if r is TokenRole.TRANSCRIPTION)
         self.d_count = sum(1 for r in roles if r is TokenRole.PLACEHOLDER)
@@ -130,29 +139,14 @@ def build_vocab(
     """Build a vocabulary from word surfaces plus auto-named placeholders.
 
     Ids are assigned in order: the given surfaces, then placeholders
-    "<unused_0>".."<unused_{D-1}>", then the blank token last.
+    "<unused_0>".."<unused_{D-1}>", then the blank token last. A given
+    surface equal to one of those names is a DuplicateToken.
     """
     if placeholder_count < 0:
-        raise ValueError("placeholder_count must be >= 0")
-    if not transcription_surfaces:
-        raise InvalidToken("at least one transcription surface is required")
-    seen: set[str] = set()
-    tokens: list[tuple[str, TokenRole]] = []
-    for surface in transcription_surfaces:
-        if not surface or surface.split() != [surface]:
-            raise InvalidToken(f"bad transcription surface {surface!r}")
-        if surface in seen:
-            raise DuplicateToken(f"duplicate transcription surface {surface!r}")
-        seen.add(surface)
-        tokens.append((surface, TokenRole.TRANSCRIPTION))
-    for k in range(placeholder_count):
-        surface = PLACEHOLDER_TEMPLATE.format(k)
-        if surface in seen:
-            raise DuplicateToken(f"surface {surface!r} collides with a placeholder name")
-        seen.add(surface)
-        tokens.append((surface, TokenRole.PLACEHOLDER))
-    if BLANK_SURFACE in seen:
-        raise DuplicateToken(f"surface {BLANK_SURFACE!r} is reserved for the blank token")
+        raise UsageError("placeholder_count must be >= 0")
+    tokens = [(surface, TokenRole.TRANSCRIPTION) for surface in transcription_surfaces]
+    tokens += [(PLACEHOLDER_TEMPLATE.format(k), TokenRole.PLACEHOLDER)
+               for k in range(placeholder_count)]
     tokens.append((BLANK_SURFACE, TokenRole.BLANK))
     return Vocabulary(tokens)
 
@@ -339,12 +333,30 @@ def save_vocab(registry: TagRegistry, path: str | Path) -> None:
     Path(path).write_text(vocab_document(registry), encoding="utf-8")
 
 
-def load_vocab(path: str | Path) -> TagRegistry:
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents; FormatError naming the file if its
+    bytes are not UTF-8."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not a valid vocab document: {exc}") from exc
-    if not isinstance(doc, dict) or "version" not in doc:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object a UTF-8 file holds; FormatError naming the file if it
+    is not UTF-8, not JSON, or not an object."""
+    try:
+        doc = json.loads(read_text(path))
+    except ValueError as exc:  # not JSON, or an integer too long to convert
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object")
+    return doc
+
+
+def load_vocab(path: str | Path) -> TagRegistry:
+    doc = read_json_object(path)
+    if "version" not in doc:
         raise FormatError(f"{path}: missing version field")
     if doc["version"] != VOCAB_FILE_VERSION:
         raise UnsupportedVersion(f"{path}: vocab file version {doc['version']!r}")

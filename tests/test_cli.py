@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ctctag as c
+from ctctag import cli
 from ctctag.cli import main
 from ctctag.formats import EMISSION_KIND_LOGITS, EMISSION_KIND_PROBS
 from ctctag.synth import UtteranceRecord, read_manifest, write_manifest
@@ -381,6 +382,34 @@ class TestUsageErrors:
         ]) == 1
 
 
+class TestExitCodePolicy:
+    """main maps a UsageError to 1 and any other CtcTagError (or an OSError)
+    to 2; every other exception is a bug and escapes."""
+
+    @pytest.fixture
+    def timeline_raising(self, monkeypatch, tmp_path):
+        def run(exc):
+            def load_vocab(path):
+                raise exc
+
+            monkeypatch.setattr(cli, "load_vocab", load_vocab)
+            return main(["timeline", "--emissions", str(tmp_path / "e.ctcl"),
+                         "--vocab", str(tmp_path / "vocab.json"), "--out", str(tmp_path / "o")])
+        return run
+
+    def test_plain_value_error_escapes(self, timeline_raising):
+        with pytest.raises(ValueError, match="a bug"):
+            timeline_raising(ValueError("a bug"))
+
+    @pytest.mark.parametrize("exc, code", [
+        (c.UsageError("out of range"), 1),
+        (c.InvalidValue("non-finite"), 2),
+    ])
+    def test_typed_errors_exit_with_their_code(self, timeline_raising, capsys, exc, code):
+        assert timeline_raising(exc) == code
+        assert str(exc) in capsys.readouterr().err
+
+
 class TestDataErrors:
     def test_missing_manifest(self, tmp_path, calendar_registry):
         vocab_path = tmp_path / "vocab.json"
@@ -463,7 +492,7 @@ class TestDataErrors:
             "--vocab", str(data / "vocab.json"), "--out", str(tmp_path / "o"),
         ]) == 2
 
-    @pytest.mark.parametrize("uid", ["../../escaped", "sub/name", "", ".", ".."])
+    @pytest.mark.parametrize("uid", ["../../escaped", "sub/name", "", ".", "..", "nul\0byte"])
     def test_decode_id_that_is_not_a_file_name(self, pipeline, tmp_path, uid):
         # decode writes transcripts/{id}.json, so the id must not leave it
         data = pipeline["data"]
@@ -478,6 +507,61 @@ class TestDataErrors:
             "--vocab", str(data / "vocab.json"), "--out", str(tmp_path / "out" / "dec"),
         ]) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["features", "manifest.jsonl"]
+
+    def test_training_corpus_of_mixed_feature_widths(self, pipeline, tmp_path, capsys):
+        data = pipeline["data"]
+        (tmp_path / "features").symlink_to(data / "features")
+        records = read_manifest(data / "manifest_train.jsonl")[:3]
+        narrow = c.read_feature_file(data / records[1].feature_path)[:, :8]
+        c.write_feature_file(tmp_path / "narrow.ctcf", narrow)
+        records[1] = UtteranceRecord(records[1].uid, records[1].tagged_text, "narrow.ctcf")
+        write_manifest(tmp_path / "manifest.jsonl", records)
+        assert main(["train", "--epochs", "1", "--manifest", str(tmp_path / "manifest.jsonl"),
+                     "--vocab", str(data / "vocab.json"), "--out", str(tmp_path / "o")]) == 2
+        assert "utterance 1 has 8 features per frame" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_decode_repeated_manifest_id(self, pipeline, tmp_path, capsys):
+        data = pipeline["data"]
+        (tmp_path / "features").symlink_to(data / "features")
+        lines = (data / "manifest_heldout.jsonl").read_text().splitlines()[:3]
+        record = json.loads(lines[2])
+        record["id"] = json.loads(lines[0])["id"]
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n".join([*lines[:2], json.dumps(record)]) + "\n")
+        assert main([
+            "decode", "--model", str(pipeline["model"] / "model.json"), "--manifest", str(manifest),
+            "--vocab", str(data / "vocab.json"), "--out", str(tmp_path / "dec"),
+        ]) == 2
+        assert "repeats line 1" in capsys.readouterr().err
+        assert not (tmp_path / "dec").exists()
+
+    def test_decode_emission_files_of_one_stem(self, tmp_path, calendar_registry):
+        vocab_path = tmp_path / "vocab.json"
+        c.save_vocab(calendar_registry, vocab_path)
+        probs = np.eye(calendar_registry.vocab.v_total)[[0, -1]]
+        paths = [tmp_path / "a" / "u.ctcl", tmp_path / "b" / "u.ctcl"]
+        for path in paths:
+            path.parent.mkdir()
+            c.write_emission_file(path, probs, EMISSION_KIND_PROBS)
+        for emissions in (paths, paths[:1] * 2):
+            assert main(["decode", "--emissions", *map(str, emissions),
+                         "--vocab", str(vocab_path), "--out", str(tmp_path / "dec")]) == 2
+            assert not (tmp_path / "dec").exists()
+
+    @pytest.mark.parametrize("side", ["ref", "hyp"])
+    def test_eval_repeated_id(self, pipeline, tmp_path, capsys, side):
+        # a repeated reference id would score its one hypothesis twice
+        data = pipeline["data"]
+        heldout = data / "manifest_heldout.jsonl"
+        lines = heldout.read_text().splitlines()
+        repeated = tmp_path / "repeated.jsonl"
+        repeated.write_text("\n".join([*lines, lines[0]]) + "\n")
+        ref, hyp = (repeated, heldout) if side == "ref" else (heldout, repeated)
+        assert main(["eval", "--ref", str(ref), "--hyp", str(hyp),
+                     "--vocab", str(data / "vocab.json"), "--out", str(tmp_path / "s")]) == 2
+        assert f"repeated.jsonl:{len(lines) + 1}" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_unknown_word_in_manifest(self, tmp_path, calendar_registry):
         vocab_path = tmp_path / "vocab.json"
@@ -581,6 +665,31 @@ class TestOneFieldMutations:
                 "decode", "--model", model, "--manifest", data / "manifest_heldout.jsonl",
                 "--vocab", data / "vocab.json", "--out", tmp_path / "d"])))
         self.sweep(runs, (2,))
+
+    def test_documents_that_are_not_utf8(self, pipeline, tmp_path, capsys):
+        # a data error naming the file, not a bare codec message
+        data = pipeline["data"]
+
+        def spoiled(source):
+            path = tmp_path / f"spoiled_{source.name}"
+            path.write_bytes(source.read_bytes().replace(b'"', b'"\xff', 1))
+            return path
+
+        heldout, vocab = data / "manifest_heldout.jsonl", data / "vocab.json"
+        config = tmp_path / "spoiled_config.json"
+        config.write_bytes(b'{"filler_lexicon": ["w\xe9", "x"]}')
+        runs = [
+            ["eval", "--ref", heldout, "--hyp", heldout, "--vocab", spoiled(vocab)],
+            ["eval", "--ref", heldout, "--hyp", spoiled(heldout), "--vocab", vocab],
+            ["decode", "--model", spoiled(pipeline["model"] / "model.json"),
+             "--manifest", heldout, "--vocab", vocab],
+            ["gen-data", "--config", config, "--n-utterances", "3"],
+            ["train", "--config", config, "--manifest", heldout, "--vocab", vocab],
+        ]
+        for argv in runs:
+            assert _exit_code([*argv, "--out", tmp_path / "o"]) == 2, argv
+            assert "spoiled_" in capsys.readouterr().err, argv
+        assert not (tmp_path / "o").exists()
 
     def test_gen_data_config(self, tmp_path):
         doc = c.SynthConfig(n_utterances=3).to_dict()

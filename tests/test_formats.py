@@ -1,7 +1,10 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctctag as c
 from ctctag.formats import (
@@ -252,3 +255,97 @@ class TestFeatureFiles:
     def test_rejects_bad_shape(self, tmp_path):
         with pytest.raises(c.ShapeError):
             c.write_feature_file(tmp_path / "x.ctcf", np.ones(5))
+
+
+#: float32 bit patterns: a signaling NaN (numpy warns when widening it),
+#: a quiet NaN, +inf and -inf
+SIGNALING_NAN, QUIET_NAN, POS_INF, NEG_INF = 0x7FA00000, 0x7FC00000, 0x7F800000, 0xFF800000
+
+
+def _feature_file(path, bits: int):
+    """A 2x2 feature file whose last value has the given float32 bits."""
+    payload = struct.pack("<3fI", 0.5, -1.0, 2.0, bits)
+    path.write_bytes(struct.pack("<4sHII", b"CTCF", 1, 2, 2) + payload)
+    return path
+
+
+def _emission_file(path, kind: int, bits: int):
+    """A 2x3 emission file of uniform rows whose last value has the given
+    float32 bits."""
+    payload = struct.pack("<5fI", *[1 / 3] * 5, bits)
+    path.write_bytes(struct.pack("<4sHBBII", b"CTCL", 1, kind, 0, 2, 3) + payload)
+    return path
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("bits", [SIGNALING_NAN, QUIET_NAN, POS_INF, NEG_INF],
+                             ids=["snan", "qnan", "inf", "-inf"])
+    def test_feature_file_with_a_non_finite_value_is_a_format_error(self, tmp_path, bits):
+        path = _feature_file(tmp_path / "f.ctcf", bits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(c.FormatError, match="f.ctcf"):
+                c.read_feature_file(path)
+
+    @pytest.mark.parametrize("kind", [EMISSION_KIND_PROBS, EMISSION_KIND_LOGITS])
+    def test_signaling_nan_in_an_emission_file_raises_without_a_warning(self, tmp_path, kind):
+        path = _emission_file(tmp_path / "e.ctcl", kind, SIGNALING_NAN)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(c.CtcTagError):
+                c.load_emission_matrix(path)
+
+    def test_logits_may_hold_minus_infinity_beside_a_finite_value(self, tmp_path):
+        path = _emission_file(tmp_path / "e.ctcl", EMISSION_KIND_LOGITS, NEG_INF)
+        emissions = c.load_emission_matrix(path)
+        assert emissions.probs[1, 2] == 0.0
+        np.testing.assert_allclose(emissions.probs[1], [0.5, 0.5, 0.0])
+
+
+def _fuzzed(data, seed: bytes, header_size: int) -> bytes:
+    """`seed` truncated, with some bytes overwritten, or with a header u32
+    field replaced."""
+    buf = bytearray(seed)
+    action = data.draw(st.sampled_from(["truncate", "overwrite", "splice"]))
+    if action == "truncate":
+        return bytes(buf[: data.draw(st.integers(0, len(buf) - 1))])
+    if action == "overwrite":
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(buf) - 1))
+            buf[at] = data.draw(st.integers(0, 255))
+        return bytes(buf)
+    # T and the width are the last two u32 fields of either header
+    offset = data.draw(st.sampled_from([header_size - 8, header_size - 4]))
+    value = data.draw(st.one_of(st.integers(0, 8), st.integers(0, 2**32 - 1)))
+    struct.pack_into("<I", buf, offset, value)
+    return bytes(buf)
+
+
+@pytest.fixture(scope="module")
+def fuzz_seeds(tmp_path_factory):
+    """(path, valid contents, header size, loader) for each file kind."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(7)
+    c.write_feature_file(tmp / "f.ctcf", rng.normal(size=(3, 4)))
+    c.write_emission_file(tmp / "p.ctcl", normalized_rows(rng, 3, 4), EMISSION_KIND_PROBS)
+    c.write_emission_file(tmp / "l.ctcl", rng.normal(size=(3, 4)), EMISSION_KIND_LOGITS)
+    return [
+        (tmp / "f.ctcf", (tmp / "f.ctcf").read_bytes(), 14, c.read_feature_file),
+        (tmp / "p.ctcl", (tmp / "p.ctcl").read_bytes(), 16, c.load_emission_matrix),
+        (tmp / "l.ctcl", (tmp / "l.ctcl").read_bytes(), 16, c.load_emission_matrix),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reader_fuzz_loads_or_raises_a_package_error(fuzz_seeds, data):
+    """Every damaged .ctcf or .ctcl file either loads or raises a
+    CtcTagError, and never warns."""
+    path, seed, header_size, load = data.draw(st.sampled_from(fuzz_seeds))
+    path.write_bytes(_fuzzed(data, seed, header_size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            load(path)
+        except c.CtcTagError:
+            pass

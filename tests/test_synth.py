@@ -253,6 +253,31 @@ class TestGenCorpus:
         with pytest.raises(c.FormatError, match="must be strings"):
             read_manifest(path)
 
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        from ctctag.synth import read_manifest
+
+        lines = [json.dumps({"id": uid, "tagged_text": "put", "features": f"{uid}.ctcf"})
+                 for uid in ("a", "b", "a")]
+        path = tmp_path / "manifest.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(c.FormatError, match=r"manifest.jsonl:3: id 'a' repeats line 1"):
+            read_manifest(path)
+
+    def test_manifest_that_is_not_utf8(self, tmp_path):
+        from ctctag.synth import read_manifest
+
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(b'{"id": "u\xff", "tagged_text": "put", "features": "f.ctcf"}\n')
+        with pytest.raises(c.FormatError, match="UTF-8"):
+            read_manifest(path)
+
+    def test_feature_path_holding_a_nul(self):
+        # no file has such a path; opening it would raise a bare ValueError
+        from ctctag.synth import manifest_feature_path
+
+        with pytest.raises(c.FormatError, match="NUL"):
+            manifest_feature_path("corpus/manifest.jsonl", "f\0.ctcf")
+
     def test_samples_load_against_manifest(self, tmp_path):
         cfg = tiny_config()
         registry = c.build_registry(cfg)
@@ -327,6 +352,18 @@ class TestToyModel:
             with pytest.raises(c.ShapeError, match="2-D"):
                 c.ToyModel(**{**weights, name: bad}, receptive_field=3)
 
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+    def test_load_model_refuses_non_finite_weights(self, tmp_path, weight):
+        # json reads these spellings as floats; the model would only fail
+        # later, with non-finite logits
+        path = tmp_path / "model.json"
+        c.save_model(c.ToyModel.init(2, 3, self.rng(), receptive_field=1, hidden_width=2), path)
+        doc = json.loads(path.read_text())
+        doc["b1"][1] = "WEIGHT"
+        path.write_text(json.dumps(doc).replace('"WEIGHT"', weight))
+        with pytest.raises(c.FormatError, match="finite"):
+            c.load_model(path)
+
     def test_load_model_error_ladder(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -400,6 +437,13 @@ class TestTrain:
                     registry.vocab.v_total,
                     self.train_config(epochs=1),
                 )
+
+    def test_mixed_feature_widths_are_a_shape_error(self, small_corpus):
+        _, registry, items = small_corpus
+        samples = [(features, labels) for _, labels, features in items[:3]]
+        samples[2] = (samples[2][0][:, :-1], samples[2][1])
+        with pytest.raises(c.ShapeError, match="utterance 2 has 15 features per frame"):
+            c.train(samples, registry.vocab.v_total, self.train_config(epochs=1))
 
     def test_no_samples_is_an_error(self):
         with pytest.raises(ValueError):

@@ -235,6 +235,24 @@ def test_load_vocab_applies_the_binding_rules_of_assign_tag(tmp_path, calendar_r
         c.load_vocab(_edited_vocab(tmp_path, calendar_registry, edit))
 
 
+@pytest.mark.parametrize("surface", ["a m", "", "tab\there"])
+def test_load_vocab_refuses_a_word_that_is_not_one_token(tmp_path, calendar_registry, surface):
+    # decoded text holding it would not encode back to the ids it came from
+    path = _edited_vocab(tmp_path, calendar_registry,
+                         lambda doc: doc["tokens"][0].update(surface=surface))
+    with pytest.raises(c.FormatError, match="id 0"):
+        c.load_vocab(path)
+    with pytest.raises(c.InvalidToken):
+        c.Vocabulary([(surface, c.TokenRole.TRANSCRIPTION), ("<blank>", c.TokenRole.BLANK)])
+
+
+def test_load_vocab_refuses_a_file_that_is_not_utf8(tmp_path, calendar_registry):
+    path = tmp_path / "vocab.json"
+    path.write_bytes(c.vocab_document(calendar_registry).encode().replace(b"put", b"p\xffut"))
+    with pytest.raises(c.FormatError, match="UTF-8"):
+        c.load_vocab(path)
+
+
 @pytest.mark.parametrize("key, value", [
     (key, value)
     for key in ("L", "D", "blank_id", "tokens")
