@@ -53,10 +53,6 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _echo_config(out_dir: Path, doc: dict) -> None:
-    _write_json(out_dir / "config.json", doc)
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -146,7 +142,7 @@ def _cmd_gen_data(args) -> None:
     if args.split is not None:
         write_manifest(out / "manifest_train.jsonl", records[: args.split])
         write_manifest(out / "manifest_heldout.jsonl", records[args.split :])
-    _echo_config(out, {
+    _write_json(out / "config.json", {
         "command": "gen-data",
         "synth": cfg.to_dict(),
         "placeholders": args.placeholders,
@@ -163,7 +159,7 @@ def _cmd_train(args) -> None:
     lines = ["epoch\tmean_nll"]
     lines += [f"{i}\t{loss:.6f}" for i, loss in enumerate(losses)]
     (out / "loss_log.tsv").write_text("".join(line + "\n" for line in lines))
-    _echo_config(out, {
+    _write_json(out / "config.json", {
         "command": "train",
         "manifest": args.manifest,
         "vocab": args.vocab,
@@ -217,7 +213,7 @@ def _cmd_decode(args) -> None:
         _write_json(out / "transcripts" / f"{uid}.json", doc)
         records.append(UtteranceRecord(uid=uid, tagged_text=tagged_text, feature_path=source))
     write_manifest(out / "hyp_manifest.jsonl", records)
-    _echo_config(out, {
+    _write_json(out / "config.json", {
         "command": "decode",
         "vocab": args.vocab,
         "model": args.model,
@@ -273,7 +269,7 @@ def _cmd_eval(args) -> None:
         f"f1 {doc['f1']:.4f}  wer {doc['wer']:.4f}  "
         f"intent_accuracy {doc['intent_accuracy']:.4f}"
     )
-    _echo_config(out, {
+    _write_json(out / "config.json", {
         "command": "eval",
         "ref": args.ref,
         "hyp": args.hyp,
@@ -291,7 +287,7 @@ def _cmd_timeline(args) -> None:
         lines.append(f"{row.t}\t{row.token_id}\t{row.surface}\t{row.prob:.6f}\t{flag}")
     out = _out_dir(args)
     (out / "timeline.tsv").write_text("".join(line + "\n" for line in lines))
-    _echo_config(out, {
+    _write_json(out / "config.json", {
         "command": "timeline",
         "emissions": args.emissions,
         "vocab": args.vocab,

@@ -66,11 +66,7 @@ class EmissionMatrix:
     """
 
     def __init__(self, probs: np.ndarray):
-        arr = np.array(probs, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"emissions must be 2-D, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 2:
-            raise ShapeError(f"emissions need T >= 1 and V_total >= 2, got {arr.shape}")
+        arr = as_rows(probs, "emissions", 2).copy()
         # written so that NaN, which fails every comparison, is rejected too
         if not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise InvalidValue("emission entries must lie in [0, 1]")
@@ -98,23 +94,29 @@ class EmissionMatrix:
 
     @classmethod
     def from_unnormalized(cls, rows: np.ndarray) -> "EmissionMatrix":
-        """Rescale rows to sum exactly to 1 (e.g. after 32-bit file storage)."""
-        arr = np.asarray(rows, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"emissions must be 2-D, got shape {arr.shape}")
-        sums = arr.sum(axis=1, keepdims=True)
-        if np.any(sums <= 0.0):
-            raise InvalidValue("cannot renormalize rows with non-positive sums")
-        return cls(np.clip(arr / sums, 0.0, 1.0))
+        """Rescale rows to sum exactly to 1 (e.g. after 32-bit file storage).
+        A negative entry stays negative and is refused; nothing is clipped."""
+        arr = as_rows(rows, "emissions", 2)
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf sums are refused
+            sums = arr.sum(axis=1, keepdims=True)
+        if not np.all((0.0 < sums) & (sums < np.inf)):
+            raise InvalidValue("cannot renormalize rows whose sums are not positive and finite")
+        return cls(arr / sums)
 
     def __repr__(self) -> str:
         return f"EmissionMatrix(T={self.t_frames}, V_total={self.v_total})"
 
 
+def as_rows(array, what: str, min_width: int) -> np.ndarray:
+    """`array` as float64 rows; ShapeError unless 2-D, T >= 1, width >= min_width."""
+    arr = np.asarray(array, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < min_width:
+        raise ShapeError(f"{what} must be 2-D with T >= 1 and width >= {min_width}, got {arr.shape}")
+    return arr
+
+
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    arr = np.asarray(logits, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"logits must be 2-D, got shape {arr.shape}")
+    arr = as_rows(logits, "logits", 2)
     row_max = arr.max(axis=1, keepdims=True)
     # +inf, NaN, or a row that is all -inf: the shift below would be NaN
     if not np.isfinite(row_max).all():
@@ -124,9 +126,10 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def rows_sum_to_one(rows: np.ndarray, tol: float) -> bool:
-    """Whether every row of a 2-D array sums to 1 within tol (never for a
-    NaN row, since NaN fails the comparison)."""
-    return bool(np.all(np.abs(rows.sum(axis=1) - 1.0) <= tol))
+    """Whether every row of a 2-D array sums to 1 within tol (never for a row
+    whose sum is NaN or overflows, since NaN and inf fail the comparison)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.all(np.abs(rows.sum(axis=1) - 1.0) <= tol))
 
 
 def min_frames(labels) -> int:
@@ -397,12 +400,8 @@ def nll_and_gradient(logits: np.ndarray, labels, frame_counts=None) -> tuple[flo
     labels that every path gives probability zero. In a batch, this and the
     label and feasibility errors name the utterance.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be 2-D, got shape {logits.shape}")
+    logits = as_rows(logits, "logits", 2)
     t_total, v_total = logits.shape
-    if t_total < 1 or v_total < 2:
-        raise ShapeError(f"logits need T >= 1 and V_total >= 2, got {logits.shape}")
     batched = frame_counts is not None
     if batched:
         frame_counts = np.asarray(frame_counts, dtype=np.int64)

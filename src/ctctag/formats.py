@@ -2,11 +2,17 @@
 
 Both formats are little-endian with float32 row-major payloads; compute
 stays 64-bit, so writing narrows and reading widens. Emission files carry a
-kind byte: 0 for probabilities (rows must sum to 1 within the 32-bit storage
-tolerance), 1 for raw logits.
+kind byte: 0 for probabilities, 1 for raw logits.
 
     emission: "CTCL" | version u16 | kind u8 | reserved u8 | T u32 | V u32 | payload
     feature:  "CTCF" | version u16 | T u32 | m u32 | payload
+
+Each format has one rule that its reader runs on the rows it read and its
+writer on the narrowed rows, so a writer refuses (ShapeError, InvalidValue)
+any file its reader would refuse: T >= 1 rows of m >= 1 finite features;
+T >= 1 rows of V >= 2 probabilities that sum to 1 within the 32-bit storage
+tolerance and, renormalized, lie in [0, 1]; or of V >= 2 logits, each row's
+maximum finite (-inf beside a finite logit is probability 0).
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ctc import EmissionMatrix, rows_sum_to_one
-from .errors import FormatError, InvalidValue, ShapeError, TruncatedFile, UnsupportedVersion
+from .ctc import EmissionMatrix, as_rows, rows_sum_to_one
+from .errors import FormatError, InvalidValue, TruncatedFile, UnsupportedVersion
 
 EMISSION_MAGIC = b"CTCL"
 FEATURE_MAGIC = b"CTCF"
@@ -30,28 +36,34 @@ _FEATURE_HEADER = struct.Struct("<4sHII")
 
 STORED_ROW_SUM_TOL = 1e-4  # 32-bit storage tolerance
 
+_TO_EMISSIONS = {
+    EMISSION_KIND_PROBS: EmissionMatrix.from_unnormalized,
+    EMISSION_KIND_LOGITS: EmissionMatrix.from_logits,
+}
 
-def _as_2d(array: np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(array, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ShapeError(f"{what} must be a non-empty 2-D array, got shape {arr.shape}")
-    return arr
+
+def _cast(arr: np.ndarray, dtype) -> np.ndarray:
+    # narrowing turns a value beyond the float32 range into inf and a cast
+    # either way quiets a signaling NaN, unwarned: the format's rule refuses both
+    with np.errstate(over="ignore", invalid="ignore"):
+        return arr.astype(dtype)
+
+
+def _check_sums(arr: np.ndarray, kind: int, error: type, path) -> None:
+    if kind == EMISSION_KIND_PROBS and not rows_sum_to_one(arr, STORED_ROW_SUM_TOL):
+        raise error(f"{path}: probability rows do not sum to 1 within the storage tolerance")
 
 
 def write_emission_file(path: str | Path, array: np.ndarray, kind: int) -> None:
-    """Write probabilities (kind 0) or logits (kind 1), narrowed to float32."""
-    if kind not in (EMISSION_KIND_PROBS, EMISSION_KIND_LOGITS):
+    """Write probabilities (kind 0) or logits (kind 1), narrowed to float32;
+    InvalidValue for a file that `load_emission_matrix` would refuse."""
+    if kind not in _TO_EMISSIONS:
         raise ValueError(f"unknown emission kind {kind}")
-    arr = _as_2d(array, "emissions")
-    if arr.shape[1] < 2:
-        raise ShapeError(f"emissions need V_total >= 2, got {arr.shape}")
-    narrowed = arr.astype("<f4")
-    if kind == EMISSION_KIND_PROBS:
-        if not rows_sum_to_one(narrowed.astype(np.float64), STORED_ROW_SUM_TOL):
-            raise InvalidValue("probability rows must sum to 1 within the storage tolerance")
-    header = _EMISSION_HEADER.pack(
-        EMISSION_MAGIC, FORMAT_VERSION, kind, 0, arr.shape[0], arr.shape[1]
-    )
+    narrowed = _cast(as_rows(array, "emissions", 2), "<f4")
+    stored = narrowed.astype(np.float64)
+    _check_sums(stored, kind, InvalidValue, path)
+    _TO_EMISSIONS[kind](stored)
+    header = _EMISSION_HEADER.pack(EMISSION_MAGIC, FORMAT_VERSION, kind, 0, *narrowed.shape)
     Path(path).write_bytes(header + narrowed.tobytes())
 
 
@@ -82,15 +94,13 @@ def _read_rows(path, layout: struct.Struct, magic: bytes, what: str, width_name:
     if payload > expected:
         raise FormatError(f"{path}: {payload - expected} trailing bytes")
     arr = np.frombuffer(buf, dtype="<f4", offset=layout.size).reshape(t_frames, width)
-    # a signaling NaN widens to a quiet one; that is no reason to warn
-    with np.errstate(invalid="ignore"):
-        return fields, arr.astype(np.float64)
+    return fields, _cast(arr, np.float64)
 
 
 def _check_emission_fields(path, kind: int, reserved: int) -> None:
     if reserved != 0:
         raise FormatError(f"{path}: reserved byte is {reserved}")
-    if kind not in (EMISSION_KIND_PROBS, EMISSION_KIND_LOGITS):
+    if kind not in _TO_EMISSIONS:
         raise FormatError(f"{path}: unknown emission kind {kind}")
 
 
@@ -98,33 +108,33 @@ def read_emission_file(path: str | Path) -> tuple[np.ndarray, int]:
     """Read an emission file; returns (float64 array, kind)."""
     (kind, _), arr = _read_rows(path, _EMISSION_HEADER, EMISSION_MAGIC, "emission",
                                 "V_total", 2, _check_emission_fields)
-    if kind == EMISSION_KIND_PROBS:
-        if not rows_sum_to_one(arr, STORED_ROW_SUM_TOL):
-            raise FormatError(f"{path}: probability rows do not sum to 1")
+    _check_sums(arr, kind, FormatError, path)
     return arr, kind
 
 
 def load_emission_matrix(path: str | Path) -> EmissionMatrix:
-    """Read an emission file as a validated EmissionMatrix.
-
-    Probability rows are renormalized to undo the 32-bit narrowing; logits
-    go through the softmax.
-    """
+    """Read an emission file as a validated EmissionMatrix: probability rows
+    renormalized to undo the 32-bit narrowing, logits through the softmax."""
     arr, kind = read_emission_file(path)
-    if kind == EMISSION_KIND_PROBS:
-        return EmissionMatrix.from_unnormalized(arr)
-    return EmissionMatrix.from_logits(arr)
+    return _TO_EMISSIONS[kind](arr)
+
+
+def check_finite(error: type, path, what: str, *arrays: np.ndarray) -> None:
+    """`error` naming `path` unless every value is finite: a writer's and its reader's rule."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise error(f"{path}: {what} must be finite numbers")
 
 
 def write_feature_file(path: str | Path, array: np.ndarray) -> None:
-    arr = _as_2d(array, "features")
-    header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FORMAT_VERSION, arr.shape[0], arr.shape[1])
-    Path(path).write_bytes(header + arr.astype("<f4").tobytes())
+    """InvalidValue if a feature is NaN or beyond the float32 range."""
+    narrowed = _cast(as_rows(array, "features", 1), "<f4")
+    check_finite(InvalidValue, path, "features", narrowed)
+    header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FORMAT_VERSION, *narrowed.shape)
+    Path(path).write_bytes(header + narrowed.tobytes())
 
 
 def read_feature_file(path: str | Path) -> np.ndarray:
     """Read a feature file; FormatError if a feature is NaN or infinite."""
     _, arr = _read_rows(path, _FEATURE_HEADER, FEATURE_MAGIC, "feature", "m", 1)
-    if not np.isfinite(arr).all():
-        raise FormatError(f"{path}: features must be finite numbers")
+    check_finite(FormatError, path, "features", arr)
     return arr

@@ -23,7 +23,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import ctc
-from .ctc import EmissionMatrix
+from .ctc import EmissionMatrix, as_rows
 from .errors import (
     FormatError,
     InfeasibleAlignment,
@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedVersion,
     UsageError,
 )
-from .formats import read_feature_file, write_feature_file
+from .formats import check_finite, read_feature_file, write_feature_file
 from .vocab import (
     TagKind,
     TagRegistry,
@@ -467,16 +467,10 @@ class ToyModel:
             receptive_field=receptive_field,
         )
 
-    def _check_width(self, features: np.ndarray) -> np.ndarray:
-        feats = np.asarray(features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[1] != self.feature_dim:
-            raise ShapeError(
-                f"features must be (T, {self.feature_dim}), got {feats.shape}"
-            )
-        return feats
-
     def logits(self, features: np.ndarray) -> np.ndarray:
-        feats = self._check_width(features)
+        feats = as_rows(features, "features", 1)
+        if feats.shape[1] != self.feature_dim:
+            raise ShapeError(f"features must be (T, {self.feature_dim}), got {feats.shape}")
         x = _windows(feats, self.receptive_field)
         hidden = np.tanh(x @ self.w1 + self.b1)
         return hidden @ self.w2 + self.b2
@@ -490,6 +484,8 @@ MODEL_FILE_VERSION = 1
 
 
 def save_model(model: ToyModel, path: str | Path) -> None:
+    """InvalidValue, writing nothing, if a weight is not finite."""
+    check_finite(InvalidValue, path, "weights", model.w1, model.b1, model.w2, model.b2)
     doc = {
         "version": MODEL_FILE_VERSION,
         "receptive_field": model.receptive_field,
@@ -523,8 +519,7 @@ def load_model(path: str | Path) -> ToyModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad model file: {exc}") from exc
     # json reads NaN and Infinity as floats
-    if not all(np.isfinite(w).all() for w in (model.w1, model.b1, model.w2, model.b2)):
-        raise FormatError(f"{path}: weights must be finite numbers")
+    check_finite(FormatError, path, "weights", model.w1, model.b1, model.w2, model.b2)
     return model
 
 

@@ -437,7 +437,7 @@ class TestDataErrors:
             "--vocab", str(vocab_path), "--out", str(tmp_path / "o"),
         ]) == 2
 
-    @pytest.mark.parametrize("bad", ["narrow", "nan", "inf_logits"])
+    @pytest.mark.parametrize("bad", ["narrow", "nan", "inf_logits", "negative_entry"])
     def test_unusable_emission_file(self, tmp_path, calendar_registry, bad):
         v_total = calendar_registry.vocab.v_total
         kind = EMISSION_KIND_PROBS
@@ -446,6 +446,10 @@ class TestDataErrors:
         elif bad == "nan":
             probs = np.full((2, v_total), 1 / v_total)
             probs[1, 0] = np.nan
+        elif bad == "negative_entry":
+            # sums to 1; clipping it would decode a confident first word
+            probs = np.zeros((1, v_total))
+            probs[0, 0], probs[0, -1] = 2.0, -1.0
         else:
             probs = np.zeros((2, v_total))
             probs[1, 0] = np.inf
@@ -453,13 +457,36 @@ class TestDataErrors:
         vocab_path = tmp_path / "vocab.json"
         c.save_vocab(calendar_registry, vocab_path)
         path = tmp_path / "e.ctcl"
-        # laid out by hand: write_emission_file refuses the NaN rows
+        # laid out by hand: write_emission_file refuses all but the narrow file
         header = struct.pack("<4sHBBII", b"CTCL", 1, kind, 0, *probs.shape)
         path.write_bytes(header + probs.astype("<f4").tobytes())
         assert main([
             "decode", "--emissions", str(path),
             "--vocab", str(vocab_path), "--out", str(tmp_path / "o"),
         ]) == 2
+
+    def test_gen_data_features_beyond_float32(self, tmp_path, capsys):
+        config = tmp_path / "synth.json"
+        config.write_text('{"noise_sigma": 1e300}')
+        out = tmp_path / "data"
+        assert main(["gen-data", "--out", str(out), "--n-utterances", "3",
+                     "--config", str(config)]) == 2
+        assert "features must be finite numbers" in capsys.readouterr().err
+        assert list(out.rglob("*.ctcf")) == []
+
+    # the step overflows (numpy warns), leaving infinite weights to refuse
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_train_into_non_finite_weights(self, pipeline, tmp_path, capsys):
+        data = pipeline["data"]
+        (tmp_path / "features").symlink_to(data / "features")
+        manifest = tmp_path / "manifest.jsonl"
+        write_manifest(manifest, read_manifest(data / "manifest_train.jsonl")[:30])
+        out = tmp_path / "o"
+        assert main(["train", "--epochs", "1", "--batch-size", "30", "--lr", "1.7e308",
+                     "--manifest", str(manifest), "--vocab", str(data / "vocab.json"),
+                     "--out", str(out)]) == 2
+        assert "weights must be finite numbers" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_model_of_the_wrong_width(self, pipeline, tmp_path):
         data = pipeline["data"]

@@ -62,6 +62,17 @@ class TestEmissionMatrix:
         with pytest.raises(ValueError):
             c.EmissionMatrix.from_unnormalized(np.zeros((2, 3)))
 
+    def test_from_unnormalized_refuses_negative_entries_and_bad_shapes(self):
+        # [2, -1] sums to 1, so dividing by the sum keeps the -1: refused, not
+        # clipped; an infinite, overflowing or NaN sum is refused unwarned
+        for rows in ([[2.0, -1.0]], [[np.inf, 1.0]], [[np.nan, 1.0]], [[np.inf, -np.inf]],
+                     [[1e308, 1e308]]):
+            with pytest.raises(c.InvalidValue):
+                c.EmissionMatrix.from_unnormalized(np.array(rows))
+        for rows in (np.zeros((0, 3)), np.ones(3)):
+            with pytest.raises(c.ShapeError):
+                c.EmissionMatrix.from_unnormalized(rows)
+
     @pytest.mark.parametrize("source", ["probabilities", "logits", "ctcl"])
     def test_nan_is_rejected(self, source, tmp_path):
         rows = np.array([[0.5, 0.5], [np.nan, 0.5]])

@@ -71,16 +71,30 @@ class TestEmissionWriteValidation:
             c.write_emission_file(
                 tmp_path / "x.ctcl", np.ones((2, 1)), EMISSION_KIND_PROBS
             )
+        for shape in [(0, 3), (2, 3, 1)]:
+            for kind in (EMISSION_KIND_PROBS, EMISSION_KIND_LOGITS):
+                with pytest.raises(c.ShapeError):
+                    c.write_emission_file(tmp_path / "x.ctcl", np.ones(shape), kind)
+        assert not (tmp_path / "x.ctcl").exists()
 
     def test_rejects_unnormalized_probability_rows(self, tmp_path):
-        for rows in ([[0.5, 0.6]], [[np.nan, 0.5]]):
-            with pytest.raises(ValueError):
+        # [2, -1] sums to 1 but is no distribution; 1e39 is inf in float32
+        for rows in ([[0.5, 0.6]], [[np.nan, 0.5]], [[2.0, -1.0]], [[1.0, 0.0], [0.5, -1e-3]],
+                     [[np.inf, 0.0]], [[1e39, 0.0]]):
+            with pytest.raises(c.InvalidValue):
                 c.write_emission_file(tmp_path / "x.ctcl", np.array(rows), EMISSION_KIND_PROBS)
+        assert not (tmp_path / "x.ctcl").exists()
 
     def test_logits_rows_are_unconstrained(self, tmp_path):
         c.write_emission_file(
             tmp_path / "x.ctcl", np.array([[100.0, -50.0]]), EMISSION_KIND_LOGITS
         )
+        # unconstrained by any row sum, but the softmax needs a finite maximum
+        # per row, as load_emission_matrix does
+        for rows in ([[np.nan, 0.0]], [[np.inf, 0.0]], [[-np.inf, -np.inf]], [[1e39, 0.0]]):
+            with pytest.raises(c.InvalidValue):
+                c.write_emission_file(tmp_path / "y.ctcl", np.array(rows), EMISSION_KIND_LOGITS)
+        assert not (tmp_path / "y.ctcl").exists()
 
 
 class TestEmissionReadErrors:
@@ -183,7 +197,10 @@ class TestLoadEmissionMatrix:
 
     def test_logit_kind_with_infinite_logits_is_rejected(self, tmp_path):
         path = tmp_path / "inf.ctcl"
-        c.write_emission_file(path, np.array([[0.0, 1.0], [np.inf, 0.0]]), EMISSION_KIND_LOGITS)
+        logits = np.array([[0.0, 1.0], [np.inf, 0.0]])
+        # laid out by hand: write_emission_file refuses the infinite logit
+        header = struct.pack("<4sHBBII", b"CTCL", 1, EMISSION_KIND_LOGITS, 0, *logits.shape)
+        path.write_bytes(header + logits.astype("<f4").tobytes())
         with pytest.raises(ValueError, match="non-finite logits"):
             c.load_emission_matrix(path)
 
@@ -255,6 +272,15 @@ class TestFeatureFiles:
     def test_rejects_bad_shape(self, tmp_path):
         with pytest.raises(c.ShapeError):
             c.write_feature_file(tmp_path / "x.ctcf", np.ones(5))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -1e300])
+    def test_rejects_what_the_reader_refuses(self, tmp_path, value):
+        # beyond the float32 range a feature would be stored as infinite
+        feats = np.zeros((2, 3))
+        feats[1, 2] = value
+        with pytest.raises(c.InvalidValue, match="x.ctcf"):
+            c.write_feature_file(tmp_path / "x.ctcf", feats)
+        assert not (tmp_path / "x.ctcf").exists()
 
 
 #: float32 bit patterns: a signaling NaN (numpy warns when widening it),
@@ -349,3 +375,74 @@ def test_reader_fuzz_loads_or_raises_a_package_error(fuzz_seeds, data):
             load(path)
         except c.CtcTagError:
             pass
+
+
+#: values that probe each rule: NaN, both infinities, the float32 range
+#: edge, beyond it, and negative entries
+_EDGE_VALUES = [np.nan, np.inf, -np.inf, 3.4e38, 3.5e38, 1e300, -1e39, -1.0, -1e-3, 0.0, 2.0]
+
+
+@st.composite
+def _rows(draw):
+    """An array for a writer: usually (T, width) rows, half of them made to
+    sum to 1, with a few entries replaced by edge values; sometimes one
+    column, an empty axis or the wrong rank."""
+    shape = draw(st.sampled_from([(1, 2), (2, 3), (3, 4), (4, 5), (2, 2), (3, 1), (0, 3), (2, 0),
+                                  (4,), (2, 2, 2)]))
+    arr = np.array(draw(st.lists(
+        st.floats(-5.0, 5.0) | st.floats(allow_nan=True, allow_infinity=True),
+        min_size=int(np.prod(shape)), max_size=int(np.prod(shape)),
+    ))).reshape(shape)
+    if arr.ndim == 2 and arr.size and draw(st.booleans()):
+        arr = np.clip(np.abs(np.nan_to_num(arr)), 1e-3, 5.0)
+        arr /= arr.sum(axis=1, keepdims=True)
+    for _ in range(draw(st.integers(0, 2)) if arr.size else 0):
+        index = tuple(draw(st.integers(0, n - 1)) for n in arr.shape)
+        arr[index] = draw(st.sampled_from(_EDGE_VALUES))
+    return arr
+
+
+@pytest.fixture(scope="module")
+def agreement_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("agreement")
+
+
+def _writer_refuses_or_reader_accepts(path, write, read):
+    path.unlink(missing_ok=True)
+    try:
+        write(path)
+    except c.CtcTagError:
+        assert not path.exists()
+        return
+    read(path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=_rows(), fmt=st.sampled_from(["ctcf", "probs", "logits"]))
+def test_a_writer_refuses_every_file_its_reader_would_refuse(agreement_dir, rows, fmt):
+    """Each .ctcf and .ctcl writer either raises a CtcTagError and writes
+    nothing, or writes a file that its reader accepts."""
+    path = agreement_dir / f"x.{fmt}"
+    if fmt == "ctcf":
+        _writer_refuses_or_reader_accepts(
+            path, lambda p: c.write_feature_file(p, rows), c.read_feature_file)
+    else:
+        kind = EMISSION_KIND_PROBS if fmt == "probs" else EMISSION_KIND_LOGITS
+        _writer_refuses_or_reader_accepts(
+            path, lambda p: c.write_emission_file(p, rows, kind), c.load_emission_matrix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_save_model_refuses_every_model_load_model_would_refuse(agreement_dir, data):
+    """A model whose weights hold NaN, an infinity or an extreme float is
+    refused by save_model, writing nothing, or loads back."""
+    model = c.ToyModel.init(2, 3, np.random.default_rng(data.draw(st.integers(0, 9))),
+                            receptive_field=1, hidden_width=2)
+    for name in data.draw(st.lists(st.sampled_from(["w1", "b1", "w2", "b2"]), max_size=3)):
+        weight = getattr(model, name)
+        index = tuple(data.draw(st.integers(0, n - 1)) for n in weight.shape)
+        weight[index] = data.draw(
+            st.sampled_from(_EDGE_VALUES) | st.floats(allow_nan=True, allow_infinity=True))
+    _writer_refuses_or_reader_accepts(
+        agreement_dir / "model.json", lambda p: c.save_model(model, p), c.load_model)
