@@ -9,29 +9,29 @@ with them the sequence probability for both the loss and the gradient; run
 over the time- and state-reversed lattice (the extended sequence of the
 reversed labels) it gives the betas, which only the gradient needs.
 
-The recursion exists in two numeric domains. `_lattice_log` stays in log
-space (pure log-sum-exp, no rescaling); `ctc_neg_log_likelihood` runs it, so
-it can be compared exactly against the brute-force path enumeration.
-`_lattice_scaled` multiplies probabilities and divides each lattice row by
-its maximum every frame, keeping the log of the divisor (Graves et al.
-2006, §4.1), which is several times faster than numpy's element-by-element
-`logaddexp`. `nll_and_gradient` runs the scaled recursion and trusts an
-utterance's result only if each frame's state occupancies sum to 1 within
-ROW_SUM_TOL (a zero final mass or a scale factor that overflows fails that
-too) and none of its emission probabilities fell below the smallest normal
-float: such an emission is lost alike in the alphas and the betas, so the
-sums cannot show it. Every other utterance is recomputed in log space,
-which also confirms a zero-probability target before it is reported.
+The recursion exists in two numeric domains. `_lattice_scaled` multiplies
+probabilities and divides each lattice row by its maximum every frame,
+keeping the log of the divisor (Graves et al. 2006, §4.1), which is several
+times faster than numpy's element-by-element `logaddexp`. It is batched: a
+training minibatch's lattices, alphas and betas alike, are stacked into one
+(T_max, 2B, 2 + S_max) array of per-utterance slices of the emissions, so
+its frame loop runs once per batch. Frames past an utterance's end and
+states past its extended sequence are padding with zero probability; since
+paths only move forward in time and state, padding never feeds a real cell,
+and the row maxima that rescale the lattice are those of the real cells, so
+every real cell is computed exactly as for that utterance alone. A single
+utterance is the B=1 case of the same code.
 
-The recursion is batched: a training minibatch's lattices, alphas and betas
-alike, are stacked into one (T_max, 2B, S_max) array of per-utterance slices
-of the emissions, so its frame loop runs once per batch. Frames past an
-utterance's end and states past its extended sequence are padding with zero
-probability (-inf in log space); since paths only move forward in time and
-state, padding never feeds a real cell, and the row maxima that rescale the
-lattice are those of the real cells, so every real cell is computed exactly
-as for that utterance alone. A single utterance is the B=1 case of the same
-code.
+`nll_and_gradient` trusts an utterance's scaled result only if each frame's
+state occupancies sum to 1 within ROW_SUM_TOL (a zero final mass or a scale
+factor that overflows fails that too) and none of its emission
+probabilities fell below the smallest normal float: such an emission is
+lost alike in the alphas and the betas, so the sums cannot show it. Every
+other utterance is recomputed on its own by `_lattice_log`, which stays in
+log space (pure log-sum-exp, no rescaling) and is exact; this also confirms
+a zero-probability target before it is reported. `ctc_neg_log_likelihood`
+runs the same per-utterance log-space path, so it can be compared exactly
+against the brute-force path enumeration.
 
 Everything here is 64-bit; token ids are plain ints with the blank id taken
 from the emission width context (callers pass it explicitly to `collapse`).
@@ -205,29 +205,28 @@ def _layout(labels, frame_counts, v_total: int, batched: bool) -> tuple[np.ndarr
 
 
 def _stack(values: np.ndarray, starts: np.ndarray, frame_counts: np.ndarray, ext: np.ndarray,
-           n_states: np.ndarray, pad: float, lead: int = 0) -> np.ndarray:
-    """(T_max, 2B, lead + S_max) emissions of B lattices, longest first: row
+           n_states: np.ndarray) -> np.ndarray:
+    """(T_max, 2B, 2 + S_max) emissions of B lattices, longest first: row
     2b holds utterance b's rows values[starts[b] : starts[b] + T_b] at the
     columns of its extended sequence ext[b], row 2b + 1 the same block
     reversed in time and state, which is the lattice of the reversed labels
-    (the betas'). The `lead` columns and every cell past an utterance's own
-    frames or states hold `pad`."""
-    stack = np.full((frame_counts[0], 2 * len(frame_counts), lead + ext.shape[1]), pad)
+    (the betas'). The two columns in front and every cell past an
+    utterance's own frames or states hold 0."""
+    stack = np.zeros((frame_counts[0], 2 * len(frame_counts), 2 + ext.shape[1]))
     for b, (start, t_b, s_b) in enumerate(zip(starts.tolist(), frame_counts.tolist(), n_states.tolist())):
         block = values[start : start + t_b, ext[b, :s_b]]
-        stack[:t_b, 2 * b, lead : lead + s_b] = block
-        stack[:t_b, 2 * b + 1, lead : lead + s_b] = block[::-1, ::-1]
+        stack[:t_b, 2 * b, 2 : 2 + s_b] = block
+        stack[:t_b, 2 * b + 1, 2 : 2 + s_b] = block[::-1, ::-1]
     return stack
 
 
-def _forward_order(lattice: np.ndarray, frame_counts: np.ndarray, n_states: np.ndarray,
-                   pad: float, lead: int = 0) -> np.ndarray:
+def _forward_order(lattice: np.ndarray, frame_counts: np.ndarray, n_states: np.ndarray) -> np.ndarray:
     """(T_max, B, S_max): the reversed rows of a lattice over a `_stack`, each
-    turned back to forward time and state order, `pad` past its own cells."""
+    turned back to forward time and state order, 0 past its own cells."""
     t_max, n_rows, width = lattice.shape
-    back = np.full((t_max, n_rows // 2, width - lead), pad)
+    back = np.zeros((t_max, n_rows // 2, width - 2))
     for b, (t_b, s_b) in enumerate(zip(frame_counts.tolist(), n_states.tolist())):
-        back[:t_b, b, :s_b] = lattice[:t_b, 2 * b + 1, lead : lead + s_b][::-1, ::-1]
+        back[:t_b, b, :s_b] = lattice[:t_b, 2 * b + 1, 2 : 2 + s_b][::-1, ::-1]
     return back
 
 
@@ -236,42 +235,37 @@ def _skip_into(ext: np.ndarray) -> np.ndarray:
     that differs from the label two states back (never into a blank, since
     two back is a blank too)."""
     skip = np.zeros(ext.shape, dtype=bool)
-    skip[:, 2:] = ext[:, 2:] != ext[:, :-2]
+    skip[..., 2:] = ext[..., 2:] != ext[..., :-2]
     return skip
 
 
-def _lattice_log(log_probs_ext: np.ndarray, ext: np.ndarray, frame_counts: np.ndarray) -> np.ndarray:
+def _lattice_log(log_emit: np.ndarray, skip_into: np.ndarray) -> np.ndarray:
     """Log-mass reaching each state at each frame, before that frame's own
-    emission, for a (T_max, R, S_max) stack of R lattices over the extended
-    sequences `ext` (R, S_max), row r running for frame_counts[r] frames.
-    Rows must come longest first; frames past a row's own stay -inf.
+    emission, for one utterance's (T, S) log emissions at its extended
+    sequence, whose `_skip_into` is `skip_into`.
 
     Paths start in the first two states. Each frame a path stays, moves one
     state on, or skips the blank before a label that differs from the label
-    two states back. Adding `log_probs_ext` gives the alphas. Run on the time-
-    and state-reversed lattice, whose extended sequence is that of the
+    two states back. Adding `log_emit` gives the alphas. Run on the time-
+    and state-reversed emissions, whose extended sequence is that of the
     reversed labels, the same recursion gives the betas, which exclude the
-    emission at their own frame. Padded states (-inf emissions) never feed
-    a real one, since paths only move forward.
+    emission at their own frame.
     """
-    t_frames, n_rows, n_states = log_probs_ext.shape
-    skip_into = _skip_into(ext)
-    lattice = np.full(log_probs_ext.shape, -np.inf)
-    lattice[0, :, :2] = 0.0
-    prev = np.full((n_rows, n_states + 2), -np.inf)  # the states two and one before state 0 stay empty
-    live = (frame_counts > np.arange(t_frames)[:, None]).sum(axis=1).tolist()
+    t_frames, n_states = log_emit.shape
+    lattice = np.full(log_emit.shape, -np.inf)
+    lattice[0, :2] = 0.0
+    prev = np.full(n_states + 2, -np.inf)  # the states two and one before state 0 stay empty
     for t in range(1, t_frames):
-        n = live[t]  # rows that have frame t
-        np.add(lattice[t - 1, :n], log_probs_ext[t - 1, :n], out=prev[:n, 2:])
-        out = lattice[t, :n]
-        np.logaddexp(prev[:n, 2:], prev[:n, 1:-1], out=out)
-        np.logaddexp(out, prev[:n, :-2], out=out, where=skip_into[:n])
+        np.add(lattice[t - 1], log_emit[t - 1], out=prev[2:])
+        out = lattice[t]
+        np.logaddexp(prev[2:], prev[1:-1], out=out)
+        np.logaddexp(out, prev[:-2], out=out, where=skip_into)
     return lattice
 
 
 def _lattice_scaled(probs_ext: np.ndarray, ext: np.ndarray,
                     frame_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_lattice_log` in the probability domain with per-frame rescaling.
+    """`_lattice_log` batched over a `_stack`, in rescaled probabilities.
 
     `probs_ext` is the stack of emission probabilities with two zero columns
     in front of each row, which stand for the empty states before state 0.
@@ -310,15 +304,6 @@ def _lattice_scaled(probs_ext: np.ndarray, ext: np.ndarray,
     return lattice, np.cumsum(np.log(scales), axis=0)
 
 
-def _log_p(alphas: np.ndarray, frame_counts: np.ndarray, n_states: np.ndarray) -> np.ndarray:
-    """Per-utterance log-probability: the mass in the last two states (the
-    last one alone with no labels) at the last frame."""
-    b = np.arange(len(frame_counts))
-    last = alphas[frame_counts - 1, b]
-    final = last[b, n_states - 1]
-    return np.where(n_states > 1, np.logaddexp(last[b, n_states - 2], final), final)
-
-
 def _occupancy_scaled(probs: np.ndarray, starts: np.ndarray, frame_counts: np.ndarray,
                       ext: np.ndarray, n_states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-utterance log p, the (T_max, B, S_max) state occupancies (each
@@ -332,7 +317,7 @@ def _occupancy_scaled(probs: np.ndarray, starts: np.ndarray, frame_counts: np.nd
     final mass or an overflowing factor makes some sum inf or NaN, which
     fails the check too.
     """
-    stack = _stack(probs, starts, frame_counts, ext[:, 0], n_states, 0.0, lead=2)
+    stack = _stack(probs, starts, frame_counts, ext[:, 0], n_states)
     lattice, log_scale = _lattice_scaled(stack, ext.reshape(-1, ext.shape[2]), np.repeat(frame_counts, 2))
     b = np.arange(len(frame_counts))
     last = frame_counts - 1
@@ -343,7 +328,7 @@ def _occupancy_scaled(probs: np.ndarray, starts: np.ndarray, frame_counts: np.nd
     t = np.arange(frame_counts[0])[:, None]
     back_t = np.maximum(last - t, 0)
     factor = np.exp(log_scale[:, ::2] + log_scale[back_t, 2 * b + 1] - log_p)
-    contrib = _forward_order(lattice, frame_counts, n_states, 0.0, lead=2)
+    contrib = _forward_order(lattice, frame_counts, n_states)
     contrib *= lattice[:, ::2, 2:]
     contrib *= stack[:, ::2, 2:]
     contrib *= factor[:, :, None]
@@ -352,17 +337,18 @@ def _occupancy_scaled(probs: np.ndarray, starts: np.ndarray, frame_counts: np.nd
     return log_p, contrib, trusted
 
 
-def _occupancy_log(log_probs: np.ndarray, starts: np.ndarray, frame_counts: np.ndarray,
-                   ext: np.ndarray, n_states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_occupancy_scaled`'s log p and occupancies from the log-domain
-    lattice, which is exact and needs no check. A zero-probability target
-    has log p = -inf and NaN occupancies."""
-    log_probs_ext = _stack(log_probs, starts, frame_counts, ext[:, 0], n_states, -np.inf)
-    lattice = _lattice_log(log_probs_ext, ext.reshape(-1, ext.shape[2]), np.repeat(frame_counts, 2))
-    alphas = np.add(lattice[:, ::2], log_probs_ext[:, ::2])
-    log_p = _log_p(alphas, frame_counts, n_states)
-    alphas += _forward_order(lattice, frame_counts, n_states, -np.inf)
-    alphas -= log_p[:, None]
+def _occupancy_log(log_probs: np.ndarray, ext: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log p and the (T, S) state occupancies of one utterance, from its
+    (T, V) log probabilities and its extended sequence `ext` (S,) by the
+    log-domain lattice, which is exact and needs no check. A
+    zero-probability target has log p = -inf and NaN occupancies."""
+    log_emit = log_probs[:, ext]
+    alphas = _lattice_log(log_emit, _skip_into(ext))
+    alphas += log_emit
+    # the mass in the last two states (the one state with no labels) at the last frame
+    log_p = np.logaddexp.reduce(alphas[-1, -2:])
+    alphas += _lattice_log(log_emit[::-1, ::-1], _skip_into(ext[::-1]))[::-1, ::-1]
+    alphas -= log_p
     return log_p, np.exp(alphas, out=alphas)
 
 
@@ -375,12 +361,11 @@ def ctc_neg_log_likelihood(emissions: EmissionMatrix, labels) -> float:
     """
     with np.errstate(divide="ignore"):
         log_probs = np.log(emissions.probs)
-    frame_counts = np.array([emissions.t_frames])
-    n_states, ext = _layout([labels], frame_counts, emissions.v_total, batched=False)
+    _, ext = _layout([labels], [emissions.t_frames], emissions.v_total, batched=False)
     # a zero-probability target's occupancies are NaN (-inf minus -inf)
     with np.errstate(invalid="ignore"):
-        log_p, _ = _occupancy_log(log_probs, np.zeros(1, dtype=np.int64), frame_counts, ext, n_states)
-    return -float(log_p[0])
+        log_p, _ = _occupancy_log(log_probs, ext[0, 0])
+    return -float(log_p)
 
 
 def _utterance(b: int, batched: bool) -> str:
@@ -447,10 +432,10 @@ def nll_and_gradient(logits: np.ndarray, labels, frame_counts=None) -> tuple[flo
             trusted &= ~np.logical_or.reduceat(lost, ends - frame_counts)[order]
         # an utterance the probability domain cannot vouch for is recomputed
         # in the log domain, which also confirms a zero-probability target
-        redo = np.flatnonzero(~trusted)
-        if len(redo):
-            log_p[redo], contrib[: counts[redo[0]], redo] = _occupancy_log(
-                log_probs, starts[redo], counts[redo], ext[redo], n_states[redo])
+        for b in np.flatnonzero(~trusted).tolist():
+            t_b, s_b = counts[b], n_states[b]
+            log_p[b], contrib[:t_b, b, :s_b] = _occupancy_log(
+                log_probs[starts[b] : starts[b] + t_b], ext[b, 0, :s_b])
     nll = np.empty(len(counts))
     nll[order] = -log_p
     zero = np.flatnonzero(nll == np.inf)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .ctc import EmissionMatrix, as_rows, rows_sum_to_one
-from .errors import FormatError, InvalidValue, TruncatedFile, UnsupportedVersion
+from .errors import FormatError, InvalidValue, ShapeError, TruncatedFile, UnsupportedVersion
 
 EMISSION_MAGIC = b"CTCL"
 FEATURE_MAGIC = b"CTCF"
@@ -49,6 +49,14 @@ def _cast(arr: np.ndarray, dtype) -> np.ndarray:
         return arr.astype(dtype)
 
 
+def _named(path, check, *args):
+    """`check(*args)`, with a ShapeError or InvalidValue it raises naming `path`."""
+    try:
+        return check(*args)
+    except (ShapeError, InvalidValue) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _check_sums(arr: np.ndarray, kind: int, error: type, path) -> None:
     if kind == EMISSION_KIND_PROBS and not rows_sum_to_one(arr, STORED_ROW_SUM_TOL):
         raise error(f"{path}: probability rows do not sum to 1 within the storage tolerance")
@@ -59,10 +67,10 @@ def write_emission_file(path: str | Path, array: np.ndarray, kind: int) -> None:
     InvalidValue for a file that `load_emission_matrix` would refuse."""
     if kind not in _TO_EMISSIONS:
         raise ValueError(f"unknown emission kind {kind}")
-    narrowed = _cast(as_rows(array, "emissions", 2), "<f4")
+    narrowed = _cast(_named(path, as_rows, array, "emissions", 2), "<f4")
     stored = narrowed.astype(np.float64)
     _check_sums(stored, kind, InvalidValue, path)
-    _TO_EMISSIONS[kind](stored)
+    _named(path, _TO_EMISSIONS[kind], stored)
     header = _EMISSION_HEADER.pack(EMISSION_MAGIC, FORMAT_VERSION, kind, 0, *narrowed.shape)
     Path(path).write_bytes(header + narrowed.tobytes())
 
@@ -116,7 +124,7 @@ def load_emission_matrix(path: str | Path) -> EmissionMatrix:
     """Read an emission file as a validated EmissionMatrix: probability rows
     renormalized to undo the 32-bit narrowing, logits through the softmax."""
     arr, kind = read_emission_file(path)
-    return _TO_EMISSIONS[kind](arr)
+    return _named(path, _TO_EMISSIONS[kind], arr)
 
 
 def check_finite(error: type, path, what: str, *arrays: np.ndarray) -> None:

@@ -573,7 +573,8 @@ def train(
 
     Returns the model and one mean-loss entry per epoch. Utterances whose
     label sequence cannot fit their frame count are skipped with a warning;
-    one whose feature width differs from the first's is a ShapeError.
+    one whose feature width differs from the first's is a ShapeError, and a
+    step that leaves a weight non-finite an InvalidValue.
     Pass init_model to continue from earlier weights, e.g. fine-tuning a
     transcription-only model after its placeholders are bound to tags.
     """
@@ -625,7 +626,7 @@ def train(
     params = [model.w1, model.b1, model.w2, model.b2]
     velocity = [np.zeros_like(p) for p in params]
     losses = []
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(len(usable))
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
@@ -639,15 +640,19 @@ def train(
             )
             d_logits = grad / len(batch)
             epoch_loss += nll
-            d_w2 = hidden.T @ d_logits
-            d_b2 = d_logits.sum(axis=0)
-            d_hidden = (d_logits @ model.w2.T) * (1.0 - hidden**2)
-            d_w1 = xs.T @ d_hidden
-            d_b1 = d_hidden.sum(axis=0)
-            for p, v, g in zip(params, velocity, [d_w1, d_b1, d_w2, d_b2]):
-                v *= cfg.momentum
-                v -= cfg.learning_rate * g
-                p += v
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is refused below
+                d_w2 = hidden.T @ d_logits
+                d_b2 = d_logits.sum(axis=0)
+                d_hidden = (d_logits @ model.w2.T) * (1.0 - hidden**2)
+                d_w1 = xs.T @ d_hidden
+                d_b1 = d_hidden.sum(axis=0)
+                for p, v, g in zip(params, velocity, [d_w1, d_b1, d_w2, d_b2]):
+                    v *= cfg.momentum
+                    v -= cfg.learning_rate * g
+                    p += v
+            if not all(np.isfinite(p).all() for p in params):
+                raise InvalidValue(f"epoch {epoch}, batch {start // cfg.batch_size}: weights are not "
+                                   f"finite after the step at learning rate {cfg.learning_rate}")
         losses.append(epoch_loss / len(usable))
     return model, losses
 

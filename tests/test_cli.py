@@ -465,6 +465,22 @@ class TestDataErrors:
             "--vocab", str(vocab_path), "--out", str(tmp_path / "o"),
         ]) == 2
 
+    def test_emission_error_names_its_file(self, tmp_path, calendar_registry, capsys):
+        vocab_path = tmp_path / "vocab.json"
+        c.save_vocab(calendar_registry, vocab_path)
+        v_total = calendar_registry.vocab.v_total
+        good, bad = tmp_path / "a.ctcl", tmp_path / "b.ctcl"
+        c.write_emission_file(good, np.eye(v_total)[[0, -1]], EMISSION_KIND_PROBS)
+        row = np.zeros((1, v_total))
+        row[0, 0], row[0, -1] = 2.0, -1.0
+        # laid out by hand: write_emission_file refuses the row
+        header = struct.pack("<4sHBBII", b"CTCL", 1, EMISSION_KIND_PROBS, 0, *row.shape)
+        bad.write_bytes(header + row.astype("<f4").tobytes())
+        assert main(["decode", "--emissions", str(good), str(bad),
+                     "--vocab", str(vocab_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {bad}: emission entries must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_gen_data_features_beyond_float32(self, tmp_path, capsys):
         config = tmp_path / "synth.json"
         config.write_text('{"noise_sigma": 1e300}')
@@ -474,8 +490,7 @@ class TestDataErrors:
         assert "features must be finite numbers" in capsys.readouterr().err
         assert list(out.rglob("*.ctcf")) == []
 
-    # the step overflows (numpy warns), leaving infinite weights to refuse
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    # the first step overflows: training stops there, unwarned, and writes nothing
     def test_train_into_non_finite_weights(self, pipeline, tmp_path, capsys):
         data = pipeline["data"]
         (tmp_path / "features").symlink_to(data / "features")
@@ -485,8 +500,9 @@ class TestDataErrors:
         assert main(["train", "--epochs", "1", "--batch-size", "30", "--lr", "1.7e308",
                      "--manifest", str(manifest), "--vocab", str(data / "vocab.json"),
                      "--out", str(out)]) == 2
-        assert "weights must be finite numbers" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert capsys.readouterr().err == (
+            "error: epoch 0, batch 0: weights are not finite after the step at learning rate 1.7e+308\n")
+        assert not out.exists()
 
     def test_model_of_the_wrong_width(self, pipeline, tmp_path):
         data = pipeline["data"]

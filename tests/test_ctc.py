@@ -405,14 +405,14 @@ class TestAccuracyContract:
         assert np.max(np.abs(grad - ref_grad)) <= 1e-8
 
     def test_falls_back_only_when_a_result_cannot_be_trusted(self, monkeypatch):
-        log_domain_calls = []
-        lattice_log = ctc._lattice_log
+        log_domain_calls = []  # one per utterance sent to the log domain
+        occupancy_log = ctc._occupancy_log
 
         def counted(*args):
             log_domain_calls.append(args[0].shape)
-            return lattice_log(*args)
+            return occupancy_log(*args)
 
-        monkeypatch.setattr(ctc, "_lattice_log", counted)
+        monkeypatch.setattr(ctc, "_occupancy_log", counted)
         rng = np.random.default_rng(5)
         batch = [draw_utterance(rng, 3, int(rng.integers(10, 60)), 20, False) for _ in range(16)]
         c.nll_and_gradient(np.vstack([x for x, _ in batch]), [y for _, y in batch],
@@ -445,6 +445,10 @@ class TestBatch:
     @example([([], 0, False, 3), ([1, 1, 0], 0, True, 3), ([2], 3, False, 3)], 0)  # T=1, one-sided repeat
     @example([([0, 0], 0, False, 3)], 1)  # a batch of one, at its fewest frames
     @example([([0, 1], 5, False, 3), ([1, 2, 3], 2, True, 1000), ([], 4, False, 1)], 2)
+    # both scale-1000 utterances fall back to the log domain (two calls, counted
+    # once); the NaN their scaled occupancies hold past their own frames and
+    # states must stay in the bins the gradient drops
+    @example([([0], 3, False, 1000), ([1, 2, 3], 0, False, 1000), ([2], 0, False, 1)], 3)
     @settings(max_examples=60, deadline=None)
     def test_equals_the_per_utterance_calls_bitwise(self, batch, seed):
         rng = np.random.default_rng(seed)

@@ -73,7 +73,7 @@ class TestEmissionWriteValidation:
             )
         for shape in [(0, 3), (2, 3, 1)]:
             for kind in (EMISSION_KIND_PROBS, EMISSION_KIND_LOGITS):
-                with pytest.raises(c.ShapeError):
+                with pytest.raises(c.ShapeError, match="x.ctcl: "):
                     c.write_emission_file(tmp_path / "x.ctcl", np.ones(shape), kind)
         assert not (tmp_path / "x.ctcl").exists()
 
@@ -81,7 +81,7 @@ class TestEmissionWriteValidation:
         # [2, -1] sums to 1 but is no distribution; 1e39 is inf in float32
         for rows in ([[0.5, 0.6]], [[np.nan, 0.5]], [[2.0, -1.0]], [[1.0, 0.0], [0.5, -1e-3]],
                      [[np.inf, 0.0]], [[1e39, 0.0]]):
-            with pytest.raises(c.InvalidValue):
+            with pytest.raises(c.InvalidValue, match="x.ctcl: "):
                 c.write_emission_file(tmp_path / "x.ctcl", np.array(rows), EMISSION_KIND_PROBS)
         assert not (tmp_path / "x.ctcl").exists()
 
@@ -92,7 +92,7 @@ class TestEmissionWriteValidation:
         # unconstrained by any row sum, but the softmax needs a finite maximum
         # per row, as load_emission_matrix does
         for rows in ([[np.nan, 0.0]], [[np.inf, 0.0]], [[-np.inf, -np.inf]], [[1e39, 0.0]]):
-            with pytest.raises(c.InvalidValue):
+            with pytest.raises(c.InvalidValue, match="y.ctcl: "):
                 c.write_emission_file(tmp_path / "y.ctcl", np.array(rows), EMISSION_KIND_LOGITS)
         assert not (tmp_path / "y.ctcl").exists()
 
@@ -201,7 +201,7 @@ class TestLoadEmissionMatrix:
         # laid out by hand: write_emission_file refuses the infinite logit
         header = struct.pack("<4sHBBII", b"CTCL", 1, EMISSION_KIND_LOGITS, 0, *logits.shape)
         path.write_bytes(header + logits.astype("<f4").tobytes())
-        with pytest.raises(ValueError, match="non-finite logits"):
+        with pytest.raises(ValueError, match="inf.ctcl: non-finite logits"):
             c.load_emission_matrix(path)
 
     def test_round_trip_preserves_greedy_decode(self, tmp_path):
