@@ -19,7 +19,7 @@ from pathlib import Path, PurePath
 from .decoder import check_width, emit_timeline, greedy_decode
 from .errors import AlignmentError, CtcTagError, FormatError, UsageError
 from .evaluate import evaluate_corpus
-from .formats import load_emission_matrix, read_feature_file
+from .formats import _named, load_emission_matrix, read_feature_file
 from .synth import (
     SynthConfig,
     TrainConfig,
@@ -168,7 +168,6 @@ def _cmd_train(args) -> None:
 
 
 def _decode_one(registry, emissions) -> tuple[str, dict]:
-    check_width(emissions, registry.vocab)
     result = greedy_decode(emissions)
     labels = list(result.labels)
     tagged_text = decode_tokens(registry, labels)
@@ -185,6 +184,7 @@ def _cmd_decode(args) -> None:
     if features_mode == (args.emissions is not None):
         raise UsageError("give either --model/--manifest or --emissions")
     registry = load_vocab(args.vocab)
+    vocab = registry.vocab
     inputs: list[tuple[str, str, object]] = []
     if features_mode:
         model = load_model(args.model)
@@ -194,7 +194,8 @@ def _cmd_decode(args) -> None:
             if uid in ("", ".", "..") or PurePath(uid).name != uid or "\0" in uid:
                 raise FormatError(f"{args.manifest}: id {uid!r} is not a file name")
             feats = read_feature_file(manifest_feature_path(args.manifest, record.feature_path))
-            inputs.append((uid, record.feature_path, model.predict(feats)))
+            emissions = _named(args.model, check_width, model.predict(feats), vocab)
+            inputs.append((uid, record.feature_path, emissions))
     else:
         path_of_stem: dict[str, str] = {}
         for path in args.emissions:
@@ -202,7 +203,7 @@ def _cmd_decode(args) -> None:
             if stem in path_of_stem:
                 raise FormatError(f"{path_of_stem[stem]} and {path} both decode to {stem}.json")
             path_of_stem[stem] = path
-            inputs.append((stem, path, load_emission_matrix(path)))
+            inputs.append((stem, path, _named(path, check_width, load_emission_matrix(path), vocab)))
 
     out = _out_dir(args)
     (out / "transcripts").mkdir(exist_ok=True)

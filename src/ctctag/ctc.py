@@ -381,8 +381,9 @@ def nll_and_gradient(logits: np.ndarray, labels, frame_counts=None) -> tuple[flo
     logits. All B lattices run through one recursion. Without it, `logits`
     and `labels` are one utterance's.
 
-    Raises InvalidValue when a loss is not finite: NaN or infinite logits, or
-    labels that every path gives probability zero. In a batch, this and the
+    Raises InvalidValue when a loss or a gradient entry is not finite: NaN
+    or infinite logits, labels that every path gives probability zero, or
+    logits so large that an occupancy overflows. In a batch, this and the
     label and feasibility errors name the utterance.
     """
     logits = as_rows(logits, "logits", 2)
@@ -403,8 +404,9 @@ def nll_and_gradient(logits: np.ndarray, labels, frame_counts=None) -> tuple[flo
     else:
         labels, frame_counts = [labels], np.array([t_total])
     # NaN or +inf logits, or a row of -inf, make the whole row NaN; that is
-    # reported below instead of warned about here
-    with np.errstate(invalid="ignore"):
+    # reported below instead of warned about here. A shift beyond the float
+    # range is -inf, the zero probability its exp would round to anyway.
+    with np.errstate(invalid="ignore", over="ignore"):
         log_probs = logits - logits.max(axis=1, keepdims=True)
         probs = np.exp(log_probs)
         log_norm = np.log(probs.sum(axis=1, keepdims=True))
@@ -452,6 +454,12 @@ def nll_and_gradient(logits: np.ndarray, labels, frame_counts=None) -> tuple[flo
     index = rows[:, :, None] * (v_total + 1) + ext[:, 0]
     gamma = np.bincount(index.ravel(), contrib.ravel(), minlength=(t_total + 1) * (v_total + 1))
     probs -= gamma.reshape(t_total + 1, v_total + 1)[:-1, :-1]
+    # near 1e31, log p is finite but alpha + beta - log p cancels numbers
+    # about 1e16 apart, so an occupancy can overflow
+    if not np.isfinite(probs).all():
+        row = np.flatnonzero(~np.isfinite(probs).all(axis=1))[0]
+        b = int(np.searchsorted(ends, row, side="right"))
+        raise InvalidValue(f"{_utterance(b, batched)}CTC gradient is not finite: logits too large")
     return sum(nll.tolist()), probs
 
 

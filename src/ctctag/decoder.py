@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import EmissionMatrix
+from .ctc import ROW_SUM_TOL, EmissionMatrix
 from .errors import InvalidValue, ShapeError
 from .vocab import TagRegistry, Vocabulary
 
@@ -60,8 +60,10 @@ class StreamingDecoder:
     """Incremental greedy decoder over probability rows of fixed width.
 
     Feed rows with `push`; each call returns the labels committed by that
-    frame (a run is committed once a different argmax value arrives); a row
-    with a NaN entry raises InvalidValue and is not taken in. `result()`
+    frame (a run is committed once a different argmax value arrives). A row
+    that EmissionMatrix would refuse (an entry outside [0, 1], NaN, or a sum
+    off 1 by more than ROW_SUM_TOL, summed left to right) raises
+    InvalidValue and is not taken in. `result()`
     matches `greedy_decode` of all rows seen so far, including the
     still-open run. One instance belongs to one stream; not thread-safe.
     """
@@ -96,10 +98,14 @@ class StreamingDecoder:
         elif row.shape[0] != self._v_total:
             raise ShapeError(f"row width {row.shape[0]} != stream width {self._v_total}")
 
-        value = int(np.argmax(row))
+        values = row.tolist()
+        top = max(values)
         t = len(self._path)
-        if row[value] != row[value]:  # argmax stops at the first NaN
-            raise InvalidValue(f"stream row {t} contains NaN")
+        # EmissionMatrix's rule, in Python floats; NaN and +-inf fail the sum
+        if not (min(values) >= 0.0 and top <= 1.0 and abs(sum(values) - 1.0) <= ROW_SUM_TOL):
+            raise InvalidValue(f"stream row {t} is refused: entries must lie in [0, 1], "
+                               f"not NaN, and sum to 1 within {ROW_SUM_TOL}")
+        value = values.index(top)  # the first maximum, as np.argmax takes
         blank_id = self._v_total - 1
         prev = self._path[-1] if t else blank_id
         self._path.append(value)
@@ -118,13 +124,14 @@ class StreamingDecoder:
         return DecodeResult(tuple(self._path), tuple(self._labels), tuple(self._spans))
 
 
-def check_width(emissions: EmissionMatrix, vocab: Vocabulary) -> None:
-    """Emissions must have one column per vocabulary token; otherwise their
-    ids (the blank's included) mean different tokens."""
+def check_width(emissions: EmissionMatrix, vocab: Vocabulary) -> EmissionMatrix:
+    """The emissions, which must have one column per vocabulary token;
+    otherwise their ids (the blank's included) mean different tokens."""
     if vocab.v_total != emissions.v_total:
         raise ShapeError(
             f"vocabulary width {vocab.v_total} != emission width {emissions.v_total}"
         )
+    return emissions
 
 
 def emit_timeline(

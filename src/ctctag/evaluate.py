@@ -105,7 +105,18 @@ def ner_prf(ref: list[EntityTupleSet], hyp: list[EntityTupleSet]) -> NerReport:
 
 def edit_distance(ref: list[str], hyp: list[str]) -> int:
     """Minimum edits (substitution/insertion/deletion, unit cost) between
-    two word sequences."""
+    two word sequences.
+
+    A common prefix or suffix is matched in some optimal alignment (Ukkonen
+    1985), so the O(n·m) table runs on the differing core only.
+    """
+    start, n, m = 0, len(ref), len(hyp)
+    while start < n and start < m and ref[start] == hyp[start]:
+        start += 1
+    while n > start and m > start and ref[n - 1] == hyp[m - 1]:
+        n -= 1
+        m -= 1
+    ref, hyp = ref[start:n], hyp[start:m]
     previous = list(range(len(hyp) + 1))
     for i, ref_word in enumerate(ref, start=1):
         current = [i]

@@ -574,7 +574,9 @@ def train(
     Returns the model and one mean-loss entry per epoch. Utterances whose
     label sequence cannot fit their frame count are skipped with a warning;
     one whose feature width differs from the first's is a ShapeError, and a
-    step that leaves a weight non-finite an InvalidValue.
+    step that leaves a weight non-finite an InvalidValue. A loss or gradient
+    that is not finite after the first step is an InvalidValue naming the
+    epoch, the batch and the learning rate.
     Pass init_model to continue from earlier weights, e.g. fine-tuning a
     transcription-only model after its placeholders are bound to tags.
     """
@@ -635,9 +637,15 @@ def train(
             xs = np.vstack([_windows(f, model.receptive_field) for f, _ in batch])
             hidden = np.tanh(xs @ model.w1 + model.b1)
             logits = hidden @ model.w2 + model.b2
-            nll, grad = ctc.nll_and_gradient(
-                logits, [labels for _, labels in batch], [f.shape[0] for f, _ in batch]
-            )
+            try:
+                nll, grad = ctc.nll_and_gradient(
+                    logits, [labels for _, labels in batch], [f.shape[0] for f, _ in batch]
+                )
+            except InvalidValue as exc:
+                if epoch == 0 and start == 0:  # no step yet: the data or the initial weights
+                    raise
+                raise InvalidValue(f"epoch {epoch}, batch {start // cfg.batch_size}: {exc} "
+                                   f"(after training at learning rate {cfg.learning_rate})") from None
             d_logits = grad / len(batch)
             epoch_loss += nll
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is refused below

@@ -86,10 +86,11 @@ def parse(
                 frame_span = (firsts[0], lasts[1])
         entities.append(Entity(entity_type, phrase, (start, end), frame_span))
 
+    binding_by_id, surfaces = registry.binding_by_id, registry.surfaces
     for i, token_id in enumerate(labels):
-        binding = registry.binding_for_id(token_id)
+        binding = binding_by_id[token_id]
         if binding is None:
-            words.append(registry.surfaces[token_id])
+            words.append(surfaces[token_id])
             word_spans.append(tuple(frame_spans[i]) if frame_spans is not None else None)
         elif binding.kind is TagKind.INTENT:
             if intent is None:

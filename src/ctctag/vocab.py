@@ -156,14 +156,14 @@ class TagRegistry:
 
     Carries the vocabulary it binds into, so parsing and rendering code can
     resolve both tag and word surfaces from one object: `surfaces[i]` is the
-    text that id i reads as.
+    text that id i reads as, and `binding_by_id[i]` the binding of id i, or
+    None where it has none.
     """
 
     def __init__(self, vocab: Vocabulary, bindings: tuple[TagBinding, ...] = ()):
         self.vocab = vocab
         self.bindings = tuple(bindings)
         self._by_surface: dict[str, TagBinding] = {}
-        self._by_id: dict[int, TagBinding] = {}
         # where several bindings share a kind and type or name, the first wins
         self._end: TagBinding | None = None
         self._speaker_change: TagBinding | None = None
@@ -171,6 +171,7 @@ class TagRegistry:
         self._intent_by_name: dict[str, TagBinding] = {}
         end_count = 0
         surfaces = [surface for surface, _ in vocab.tokens]
+        binding_by_id: list[TagBinding | None] = [None] * vocab.v_total
         for b in self.bindings:
             if vocab.role_of(b.token_id) is not TokenRole.PLACEHOLDER:
                 raise InvalidToken(f"token id {b.token_id} is not a placeholder")
@@ -183,7 +184,7 @@ class TagRegistry:
                                    "take an entity_type")
             if b.surface in self._by_surface:
                 raise DuplicateToken(f"tag surface {b.surface!r} bound twice")
-            if b.token_id in self._by_id:
+            if binding_by_id[b.token_id] is not None:
                 raise DuplicateToken(f"token id {b.token_id} bound twice")
             if b.kind is TagKind.ENTITY_END:
                 end_count += 1
@@ -195,11 +196,12 @@ class TagRegistry:
             elif b.kind is TagKind.INTENT:
                 self._intent_by_name.setdefault(b.name, b)
             self._by_surface[b.surface] = b
-            self._by_id[b.token_id] = b
+            binding_by_id[b.token_id] = b
             surfaces[b.token_id] = b.surface
         if end_count > 1:
             raise DuplicateEndTag("only one shared entity-end tag is allowed")
         self.surfaces = tuple(surfaces)
+        self.binding_by_id = tuple(binding_by_id)
         # inverse over the non-blank ids
         self._id_by_text = {text: i for i, text in enumerate(surfaces[:-1])}
 
@@ -207,7 +209,8 @@ class TagRegistry:
         return self._by_surface.get(surface)
 
     def binding_for_id(self, token_id: int) -> TagBinding | None:
-        return self._by_id.get(token_id)
+        """The binding of `token_id`; None if it is unbound or out of range."""
+        return self.binding_by_id[token_id] if 0 <= token_id < len(self.binding_by_id) else None
 
     @property
     def end_binding(self) -> TagBinding | None:
@@ -277,14 +280,14 @@ def encode_tagged_text(registry: TagRegistry, text: str) -> list[int]:
 
 def check_label_ids(labels, v_total: int) -> list[int]:
     """Label ids as ints, each in range and none the blank (the last id)."""
-    out = []
-    for i, token_id in enumerate(labels):
-        token_id = int(token_id)
-        if not 0 <= token_id < v_total:
-            raise UnknownToken(f"label id {token_id} at index {i} out of range 0..{v_total - 1}")
-        if token_id == v_total - 1:
-            raise BlankInLabelSequence(f"blank id at label index {i}")
-        out.append(token_id)
+    out = list(map(int, labels))
+    if out and not (min(out) >= 0 and max(out) < v_total - 1):
+        # only a failing sequence is walked, to name its first bad index
+        for i, token_id in enumerate(out):
+            if not 0 <= token_id < v_total:
+                raise UnknownToken(f"label id {token_id} at index {i} out of range 0..{v_total - 1}")
+            if token_id == v_total - 1:
+                raise BlankInLabelSequence(f"blank id at label index {i}")
     return out
 
 

@@ -504,7 +504,23 @@ class TestDataErrors:
             "error: epoch 0, batch 0: weights are not finite after the step at learning rate 1.7e+308\n")
         assert not out.exists()
 
-    def test_model_of_the_wrong_width(self, pipeline, tmp_path):
+    # weights that keep finite for a step can make the next batch's loss
+    # fail; the error then names the step, not only the utterance
+    def test_train_loss_failing_after_a_step(self, pipeline, tmp_path, capsys):
+        data = pipeline["data"]
+        (tmp_path / "features").symlink_to(data / "features")
+        manifest = tmp_path / "manifest.jsonl"
+        write_manifest(manifest, read_manifest(data / "manifest_train.jsonl")[:30])
+        out = tmp_path / "o"
+        assert main(["train", "--epochs", "3", "--lr", "1e307",
+                     "--manifest", str(manifest), "--vocab", str(data / "vocab.json"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: epoch 0, batch 1: utterance 0: CTC log-probability is -inf: a "
+            "zero-probability target (after training at learning rate 1e+307)\n")
+        assert not out.exists()
+
+    def test_model_of_the_wrong_width(self, pipeline, tmp_path, capsys):
         data = pipeline["data"]
         v_total = c.load_vocab(data / "vocab.json").vocab.v_total
         model = tmp_path / "model.json"
@@ -514,6 +530,22 @@ class TestDataErrors:
             "--manifest", str(data / "manifest_heldout.jsonl"),
             "--vocab", str(data / "vocab.json"), "--out", str(tmp_path / "o"),
         ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}: vocabulary width {v_total} != emission width {v_total - 1}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_emission_file_of_the_wrong_width(self, tmp_path, calendar_registry, capsys):
+        vocab_path = tmp_path / "vocab.json"
+        c.save_vocab(calendar_registry, vocab_path)
+        v_total = calendar_registry.vocab.v_total
+        good, narrow = tmp_path / "a.ctcl", tmp_path / "b.ctcl"
+        c.write_emission_file(good, np.eye(v_total)[[0, -1]], EMISSION_KIND_PROBS)
+        c.write_emission_file(narrow, np.eye(v_total - 1)[[0, -1]], EMISSION_KIND_PROBS)
+        assert main(["decode", "--emissions", str(good), str(narrow),
+                     "--vocab", str(vocab_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {narrow}: vocabulary width {v_total} != emission width {v_total - 1}\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["train", "decode"])
     @pytest.mark.parametrize("escape", ["parent", "absolute"])

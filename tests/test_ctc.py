@@ -319,6 +319,15 @@ class TestGradient:
             with pytest.raises(ValueError):
                 c.nll_and_gradient(np.array(logits), [0])
 
+    def test_non_finite_gradient_is_an_error(self):
+        # log p is finite near 1e31, but the occupancies cancel alpha + beta
+        # against log p at a spacing near 1e15, so one can overflow
+        logits = np.random.default_rng(11).normal(size=(8, 4)) * 1e31
+        with pytest.raises(c.InvalidValue, match="^CTC gradient is not finite"):
+            c.nll_and_gradient(logits, [0, 1, 2])
+        with pytest.raises(c.InvalidValue, match="^utterance 1: CTC gradient is not finite"):
+            c.nll_and_gradient(np.vstack([np.zeros((2, 4)), logits]), [[0], [0, 1, 2]], [2, 8])
+
     def test_descent_direction(self):
         # one small step against the gradient must not increase the loss
         rng = np.random.default_rng(13)

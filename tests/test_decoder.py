@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctctag as c
+from ctctag.ctc import ROW_SUM_TOL
 
 
 def one_hot(path, v_total):
@@ -138,6 +139,70 @@ class TestStreamingDecoder:
         result = stream.result()
         assert result.path == ()
         assert result.labels == ()
+
+    @pytest.mark.parametrize("row", [
+        [np.inf, 0.5, 0.5], [-3.0, 0.0, 2.0], [0.5, 0.5, 0.5], [1.5, -0.25, -0.25],
+        [-np.inf, 0.5, 0.5],
+    ])
+    def test_row_that_emission_matrix_refuses_is_not_taken_in(self, row):
+        stream = c.StreamingDecoder(3)
+        stream.push(np.array([0.1, 0.8, 0.1]))
+        with pytest.raises(c.InvalidValue, match="^stream row 1 is refused"):
+            stream.push(np.array(row))
+        assert stream.result() == c.greedy_decode(c.EmissionMatrix([[0.1, 0.8, 0.1]]))
+
+    # Python's left-to-right sum and numpy's pairwise sum round these rows to
+    # opposite sides of 1 + ROW_SUM_TOL or 1 - ROW_SUM_TOL; push goes by the
+    # former, so each row is taken by one check and refused by the other
+    @pytest.mark.parametrize("row, pushed", [
+        ([0.14317906417896922, 0.12724297770312856, 0.21057926578266453, 0.08699152616893227,
+          0.0860558673450107, 0.08001610970459862, 0.110848915054835, 0.1550862750618611], True),
+        ([0.1839321168547349, 0.1262817710818074, 0.030495884565299634, 0.08229680467573351,
+          0.1419394760233241, 0.13810722561431216, 0.0676865842003325, 0.22926013798445577], False),
+    ])
+    def test_sums_at_the_tolerance_edge(self, row, pushed):
+        assert accepts(c.StreamingDecoder().push, np.array(row)) is pushed
+        assert accepts(lambda r: c.EmissionMatrix([r]), np.array(row)) is not pushed
+
+
+def accepts(check, row) -> bool:
+    try:
+        check(row)
+    except c.InvalidValue:
+        return False
+    return True
+
+
+@st.composite
+def stream_rows(draw):
+    """A row of width 2-12: normalized, then perhaps moved to within a few
+    ulps of a sum of 1 +- ROW_SUM_TOL, or given one special entry."""
+    width = draw(st.integers(2, 12))
+    row = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=width, max_size=width)))
+    if row.sum() > 0 and draw(st.booleans()):
+        row /= row.sum()
+    k = draw(st.integers(0, width - 1))
+    change = draw(st.sampled_from(["none", "edge", "special"]))
+    if change == "edge":
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        row[k] += sign * ROW_SUM_TOL + draw(st.integers(-4, 4)) * 2.0**-52
+    elif change == "special":
+        row[k] = draw(st.sampled_from([np.nan, np.inf, -np.inf, -1e-300, 1.0 + 1e-15, 2.0]))
+    return row
+
+
+@given(row=stream_rows())
+@settings(max_examples=500, deadline=None)
+def test_push_accepts_a_row_exactly_when_emission_matrix_does(row):
+    pushed = accepts(c.StreamingDecoder().push, row)
+    values = row.tolist()
+    python_sum_ok = abs(sum(values) - 1.0) <= ROW_SUM_TOL
+    with np.errstate(invalid="ignore"):
+        numpy_sum_ok = bool(abs(row.sum() - 1.0) <= ROW_SUM_TOL)
+    if python_sum_ok == numpy_sum_ok:
+        assert pushed == accepts(lambda r: c.EmissionMatrix([r]), row)
+    else:  # the sums round apart at the tolerance edge (pinned above)
+        assert pushed == (python_sum_ok and min(values) >= 0.0 and max(values) <= 1.0)
 
 
 @st.composite

@@ -176,6 +176,27 @@ class TestEditDistance:
     def test_triangle_inequality(self, x, y, z):
         assert c.edit_distance(x, z) <= c.edit_distance(x, y) + c.edit_distance(y, z)
 
+    @given(words, words, words, words)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_full_table(self, prefix, ref_core, hyp_core, suffix):
+        # a shared prefix and suffix around cores that may share words with
+        # them, so the trimmed core can end inside a shared part
+        ref, hyp = prefix + ref_core + suffix, prefix + hyp_core + suffix
+        assert c.edit_distance(ref, hyp) == full_table_distance(ref, hyp)
+        assert c.edit_distance(ref_core, hyp_core) == full_table_distance(ref_core, hyp_core)
+
+
+def full_table_distance(ref, hyp):
+    """The unit-cost edit distance by the plain O(n·m) table over both whole
+    sequences."""
+    table = [[i + j if i == 0 or j == 0 else 0 for j in range(len(hyp) + 1)]
+             for i in range(len(ref) + 1)]
+    for i in range(1, len(ref) + 1):
+        for j in range(1, len(hyp) + 1):
+            table[i][j] = min(table[i - 1][j] + 1, table[i][j - 1] + 1,
+                              table[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]))
+    return table[-1][-1]
+
 
 class TestCorpusWer:
     def test_micro_aggregation(self):

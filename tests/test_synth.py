@@ -445,6 +445,14 @@ class TestTrain:
         with pytest.raises(c.ShapeError, match="utterance 2 has 15 features per frame"):
             c.train(samples, registry.vocab.v_total, self.train_config(epochs=1))
 
+    def test_a_loss_failing_before_any_step_names_no_step(self, small_corpus):
+        # no weight has moved, so the data (here a NaN feature) is at fault
+        _, registry, items = small_corpus
+        samples = [(features.copy(), labels) for _, labels, features in items[:3]]
+        samples[0][0][1, 2] = np.nan
+        with pytest.raises(c.InvalidValue, match="^utterance 0: CTC log-probability is nan"):
+            c.train(samples, registry.vocab.v_total, self.train_config(epochs=1, batch_size=4))
+
     def test_no_samples_is_an_error(self):
         with pytest.raises(ValueError):
             c.train([], 10, self.train_config())

@@ -1,11 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctctag as c
-from ctctag.vocab import PLACEHOLDER_TEMPLATE
+from ctctag.vocab import PLACEHOLDER_TEMPLATE, check_label_ids
 
 
 def test_build_vocab_small_counts():
@@ -145,6 +146,47 @@ def test_surfaces_read_bound_placeholders_as_their_tags(calendar_registry):
     for token_id, text in enumerate(reg.surfaces):
         binding = reg.binding_for_id(token_id)
         assert text == (binding.surface if binding else reg.vocab.surface_of(token_id))
+
+
+def test_binding_table_has_one_entry_per_id(calendar_registry):
+    reg = calendar_registry
+    v_total = reg.vocab.v_total
+    assert len(reg.binding_by_id) == v_total
+    assert [reg.binding_for_id(i) for i in range(v_total)] == list(reg.binding_by_id)
+    assert {i: b for i, b in enumerate(reg.binding_by_id) if b is not None} == {
+        b.token_id: b for b in reg.bindings
+    }
+    # negative ids would index the table from its end, where tags are bound
+    assert any(reg.binding_by_id[i] is not None for i in range(-v_total, 0))
+    for token_id in [*range(-v_total - 1, 0), v_total, v_total + 1, 10**20]:
+        assert reg.binding_for_id(token_id) is None
+
+
+def first_label_error(labels, v_total):
+    """(type, message) of the error for the first bad label id, walking the
+    ids one by one, or None if every id is a label."""
+    for i, token_id in enumerate(labels):
+        if not 0 <= token_id < v_total:
+            return c.UnknownToken, f"label id {token_id} at index {i} out of range 0..{v_total - 1}"
+        if token_id == v_total - 1:
+            return c.BlankInLabelSequence, f"blank id at label index {i}"
+    return None
+
+
+@given(st.lists(st.integers(0, 4), max_size=12), st.lists(
+    st.tuples(st.integers(0, 12), st.sampled_from([-7, -1, 5, 6, 10**20])), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_check_label_ids_names_the_first_bad_index(labels, bad):
+    v_total = 6  # the blank is 5
+    for position, token_id in bad:
+        labels.insert(position, token_id)
+    expected = first_label_error(labels, v_total)
+    if expected is None:
+        assert check_label_ids(np.array(labels, dtype=np.int64), v_total) == labels
+    else:
+        with pytest.raises(c.CtcTagError) as info:
+            check_label_ids(labels, v_total)
+        assert (type(info.value), str(info.value)) == expected
 
 
 @given(data=st.data())
