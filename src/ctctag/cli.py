@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import fields
-from pathlib import Path, PurePath
+from json.encoder import encode_basestring_ascii as _json_string
+from pathlib import Path
 
 from .decoder import check_width, emit_timeline, greedy_decode
 from .errors import AlignmentError, CtcTagError, FormatError, UsageError
@@ -49,8 +51,50 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+def _json_text(value, newline: str) -> str:
+    """`value` as `json.dumps(value, sort_keys=True, indent=2)` writes it when
+    it sits after `newline`, a line break and the indent of its line.
+
+    Dict keys must be strings. json.dumps(indent=...) runs json's pure-Python
+    encoder; this formats the layout itself and escapes each string with the
+    C escape json.dumps uses, and writes an int as json does, by int.__repr__.
+    """
+    if isinstance(value, str):
+        return _json_string(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [_json_string(k) + ": " + _json_text(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value)  # bool, None, float (NaN and Infinity as json writes them)
+
+
+def _write_json(path, doc: dict) -> None:
+    """Write `json.dumps(doc, sort_keys=True, indent=2)` and a newline."""
+    data = (_json_text(doc, "\n") + "\n").encode("ascii")
+    # os.open, not open(): decode writes a file per utterance, and the file
+    # object layers cost about as much as formatting the document
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
+def _is_file_name(name: str) -> bool:
+    """Whether `name` names a file in its directory: not empty, '.' or '..',
+    and without '/' or NUL."""
+    return name not in ("", ".", "..") and "/" not in name and "\0" not in name
 
 
 def _out_dir(args) -> Path:
@@ -154,6 +198,12 @@ def _cmd_train(args) -> None:
     registry = load_vocab(args.vocab)
     cfg = _config(TrainConfig, args)
     model, losses = train_from_manifest(args.manifest, registry, cfg)
+    # a warning, not an error: a loss can rise for an epoch and fall again
+    for epoch in range(1, len(losses)):
+        if losses[epoch] > losses[epoch - 1]:
+            print(f"warning: epoch {epoch} mean loss {losses[epoch]:.6f} is above epoch "
+                  f"{epoch - 1}'s {losses[epoch - 1]:.6f} at learning rate {cfg.learning_rate}",
+                  file=sys.stderr)
     out = _out_dir(args)
     save_model(model, out / "model.json")
     lines = ["epoch\tmean_nll"]
@@ -191,7 +241,7 @@ def _cmd_decode(args) -> None:
         for record in read_manifest(args.manifest):
             # the id names the transcript file, so it must stay in transcripts/
             uid = record.uid
-            if uid in ("", ".", "..") or PurePath(uid).name != uid or "\0" in uid:
+            if not _is_file_name(uid):
                 raise FormatError(f"{args.manifest}: id {uid!r} is not a file name")
             feats = read_feature_file(manifest_feature_path(args.manifest, record.feature_path))
             emissions = _named(args.model, check_width, model.predict(feats), vocab)
@@ -206,12 +256,13 @@ def _cmd_decode(args) -> None:
             inputs.append((stem, path, _named(path, check_width, load_emission_matrix(path), vocab)))
 
     out = _out_dir(args)
-    (out / "transcripts").mkdir(exist_ok=True)
+    transcripts = f"{out}/transcripts"
+    os.makedirs(transcripts, exist_ok=True)
     records = []
     for uid, source, emissions in inputs:
         tagged_text, doc = _decode_one(registry, emissions)
         doc["id"] = uid
-        _write_json(out / "transcripts" / f"{uid}.json", doc)
+        _write_json(f"{transcripts}/{uid}.json", doc)
         records.append(UtteranceRecord(uid=uid, tagged_text=tagged_text, feature_path=source))
     write_manifest(out / "hyp_manifest.jsonl", records)
     _write_json(out / "config.json", {

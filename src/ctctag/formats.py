@@ -83,7 +83,8 @@ def _read_rows(path, layout: struct.Struct, magic: bytes, what: str, width_name:
     `check_fields(path, *fields)` when given, and the payload as a float64
     (T, width) array.
     """
-    buf = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        buf = f.read()
     if len(buf) < layout.size:
         raise TruncatedFile(f"{path}: shorter than the {what} header")
     found, version, *fields, t_frames, width = layout.unpack_from(buf)

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, fields
-from pathlib import Path, PurePath
+from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -387,16 +388,15 @@ def read_manifest(path: str | Path) -> list[UtteranceRecord]:
     return records
 
 
-def manifest_feature_path(manifest_path: str | Path, feature_path: str) -> Path:
+def manifest_feature_path(manifest_path: str | Path, feature_path: str) -> str:
     """The file a manifest's feature path names, relative to the manifest's
     directory. FormatError if it is absolute or contains '..', since it
     would then leave that directory, or holds a NUL, which no path can."""
-    rel = PurePath(feature_path)
-    if rel.is_absolute() or ".." in rel.parts or "\0" in feature_path:
+    if feature_path.startswith("/") or ".." in feature_path.split("/") or "\0" in feature_path:
         raise FormatError(
             f"{manifest_path}: feature path {feature_path!r} must be relative, without '..' or NUL"
         )
-    return Path(manifest_path).parent / rel
+    return os.path.join(os.path.dirname(manifest_path), feature_path)
 
 
 # ---------------------------------------------------------------------------

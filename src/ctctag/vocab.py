@@ -14,6 +14,7 @@ as its vocabulary surface), and encoding inverts it over the non-blank ids.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -279,11 +280,21 @@ def encode_tagged_text(registry: TagRegistry, text: str) -> list[int]:
 
 
 def check_label_ids(labels, v_total: int) -> list[int]:
-    """Label ids as ints, each in range and none the blank (the last id)."""
-    out = list(map(int, labels))
-    if out and not (min(out) >= 0 and max(out) < v_total - 1):
+    """Label ids as ints, each an integer (Python or numpy), in range and
+    none the blank (the last id)."""
+    if not isinstance(labels, (list, tuple)):
+        labels = list(labels)  # walked again below if it fails
+    try:
+        out = list(map(operator.index, labels))
+    except TypeError:
+        out = None
+    if out is None or out and not (min(out) >= 0 and max(out) < v_total - 1):
         # only a failing sequence is walked, to name its first bad index
-        for i, token_id in enumerate(out):
+        for i, token_id in enumerate(labels):
+            try:
+                token_id = operator.index(token_id)
+            except TypeError:
+                raise UnknownToken(f"label id {token_id!r} at index {i} is not an integer") from None
             if not 0 <= token_id < v_total:
                 raise UnknownToken(f"label id {token_id} at index {i} out of range 0..{v_total - 1}")
             if token_id == v_total - 1:

@@ -3,10 +3,12 @@ import os
 import struct
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctctag as c
 from ctctag import cli
@@ -74,6 +76,24 @@ class TestPipelineOutputs:
         assert losses[-1] < losses[0]
         echo = json.loads((model_dir / "config.json").read_text())
         assert echo["train"]["epochs"] == 4
+
+    def test_train_warns_of_each_rising_epoch(self, pipeline, tmp_path, capsys):
+        # a warning, not an error: the run still writes its model and loss log
+        data = pipeline["data"]
+        (tmp_path / "features").symlink_to(data / "features")
+        manifest = tmp_path / "manifest.jsonl"
+        write_manifest(manifest, read_manifest(data / "manifest_train.jsonl")[:30])
+        out = tmp_path / "o"
+        assert main(["train", "--epochs", "3", "--lr", "50",
+                     "--manifest", str(manifest), "--vocab", str(data / "vocab.json"),
+                     "--out", str(out)]) == 0
+        losses = [row.split("\t")[1] for row in (out / "loss_log.tsv").read_text().splitlines()[1:]]
+        expected = [f"warning: epoch {e} mean loss {losses[e]} is above epoch {e - 1}'s "
+                    f"{losses[e - 1]} at learning rate 50.0\n"
+                    for e in range(1, len(losses)) if float(losses[e]) > float(losses[e - 1])]
+        assert expected, "this learning rate should make the loss rise"
+        assert capsys.readouterr().err == "".join(expected)
+        assert (out / "model.json").exists()
 
     def test_decode_outputs(self, pipeline):
         decoded = pipeline["decoded"]
@@ -264,6 +284,33 @@ class TestReproducibility:
         assert (a / "transcripts" / "utt_00060.json").read_bytes() == (
             b / "transcripts" / "utt_00060.json"
         ).read_bytes()
+
+
+# strings that need json's escapes: quotes, backslashes, control and non-ASCII
+# characters, and lone surrogates, beside any other character
+json_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600\ud800'),
+                              st.characters()))
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), json_text),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(json_text, inner, max_size=4)),
+    max_leaves=25,
+)
+
+
+@given(doc=st.dictionaries(json_text, json_values, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_write_json_writes_what_json_dumps_writes(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("json") / "doc.json"
+    cli._write_json(path, doc)
+    assert path.read_bytes() == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+@given(st.lists(st.sampled_from(["/", "//", ".", "..", "...", "\0", "a", "b.json", " "]),
+                max_size=5).map("".join))
+@settings(max_examples=500, deadline=None)
+def test_file_name_rule_is_the_pure_path_rule(uid):
+    refused = uid in ("", ".", "..") or PurePath(uid).name != uid or "\0" in uid
+    assert cli._is_file_name(uid) is not refused
 
 
 class TestConfigMerging:

@@ -1,7 +1,10 @@
 import json
+from pathlib import Path, PurePath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctctag as c
 from ctctag.synth import _windows, embedding_table
@@ -277,6 +280,23 @@ class TestGenCorpus:
 
         with pytest.raises(c.FormatError, match="NUL"):
             manifest_feature_path("corpus/manifest.jsonl", "f\0.ctcf")
+
+    @given(
+        manifest=st.sampled_from(["manifest.jsonl", "corpus/manifest.jsonl", "/data/corpus/m.jsonl",
+                                  Path("corpus/manifest.jsonl")]),
+        feature_path=st.lists(st.sampled_from(["/", "//", ".", "..", "...", "\0", "f", "a.ctcf"]),
+                              max_size=6).map("".join),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_feature_path_rule_is_the_pure_path_rule(self, manifest, feature_path):
+        from ctctag.synth import manifest_feature_path
+
+        rel = PurePath(feature_path)
+        if rel.is_absolute() or ".." in rel.parts or "\0" in feature_path:
+            with pytest.raises(c.FormatError, match="must be relative"):
+                manifest_feature_path(manifest, feature_path)
+        else:
+            assert Path(manifest_feature_path(manifest, feature_path)) == Path(manifest).parent / rel
 
     def test_samples_load_against_manifest(self, tmp_path):
         cfg = tiny_config()

@@ -166,6 +166,8 @@ def first_label_error(labels, v_total):
     """(type, message) of the error for the first bad label id, walking the
     ids one by one, or None if every id is a label."""
     for i, token_id in enumerate(labels):
+        if not isinstance(token_id, (int, np.integer)):
+            return c.UnknownToken, f"label id {token_id!r} at index {i} is not an integer"
         if not 0 <= token_id < v_total:
             return c.UnknownToken, f"label id {token_id} at index {i} out of range 0..{v_total - 1}"
         if token_id == v_total - 1:
@@ -174,7 +176,9 @@ def first_label_error(labels, v_total):
 
 
 @given(st.lists(st.integers(0, 4), max_size=12), st.lists(
-    st.tuples(st.integers(0, 12), st.sampled_from([-7, -1, 5, 6, 10**20])), max_size=3))
+    st.tuples(st.integers(0, 12), st.sampled_from(
+        [-7, -1, 5, 6, 10**20, 0.9, 1.99, 2.0, "3", float("nan"), None, np.float64(1.0)])),
+    max_size=3))
 @settings(max_examples=300, deadline=None)
 def test_check_label_ids_names_the_first_bad_index(labels, bad):
     v_total = 6  # the blank is 5
@@ -187,6 +191,16 @@ def test_check_label_ids_names_the_first_bad_index(labels, bad):
         with pytest.raises(c.CtcTagError) as info:
             check_label_ids(labels, v_total)
         assert (type(info.value), str(info.value)) == expected
+
+
+def test_callers_refuse_a_label_id_that_is_not_an_integer(calendar_registry):
+    # truncated to an int, each would compute on another label
+    with pytest.raises(c.UnknownToken, match="label id 0.9 at index 0 is not an integer"):
+        c.nll_and_gradient(np.zeros((3, 3)), [0.9])
+    with pytest.raises(c.UnknownToken, match="label id 1.99 at index 1 is not an integer"):
+        c.decode_tokens(calendar_registry, [0, 1.99])
+    with pytest.raises(c.UnknownToken, match="label id '3' at index 0 is not an integer"):
+        c.parse(["3"], calendar_registry)
 
 
 @given(data=st.data())
