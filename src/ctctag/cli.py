@@ -238,14 +238,15 @@ def _cmd_decode(args) -> None:
     inputs: list[tuple[str, str, object]] = []
     if features_mode:
         model = load_model(args.model)
+        _named(args.model, check_width, model, vocab)  # once: it fixes every prediction's width
         for record in read_manifest(args.manifest):
             # the id names the transcript file, so it must stay in transcripts/
             uid = record.uid
             if not _is_file_name(uid):
                 raise FormatError(f"{args.manifest}: id {uid!r} is not a file name")
-            feats = read_feature_file(manifest_feature_path(args.manifest, record.feature_path))
-            emissions = _named(args.model, check_width, model.predict(feats), vocab)
-            inputs.append((uid, record.feature_path, emissions))
+            path = manifest_feature_path(args.manifest, record.feature_path)
+            inputs.append((uid, record.feature_path,
+                           _named(path, model.predict, read_feature_file(path))))
     else:
         path_of_stem: dict[str, str] = {}
         for path in args.emissions:
@@ -332,7 +333,7 @@ def _cmd_eval(args) -> None:
 def _cmd_timeline(args) -> None:
     registry = load_vocab(args.vocab)
     emissions = load_emission_matrix(args.emissions)
-    rows = emit_timeline(emissions, registry.vocab, registry)
+    rows = _named(args.emissions, emit_timeline, emissions, registry.vocab, registry)
     lines = ["t\ttoken_id\tsurface\tprob\tis_blank"]
     for row in rows:
         flag = "true" if row.is_blank else "false"

@@ -69,6 +69,8 @@ class StreamingDecoder:
     """
 
     def __init__(self, v_total: int | None = None):
+        if v_total is not None and v_total < 2:
+            raise ShapeError(f"stream width {v_total} must be at least 2")
         self._v_total = v_total
         self._path: list[int] = []
         # the result's labels and spans; the open run is last while it is
@@ -125,8 +127,9 @@ class StreamingDecoder:
 
 
 def check_width(emissions: EmissionMatrix, vocab: Vocabulary) -> EmissionMatrix:
-    """The emissions, which must have one column per vocabulary token;
-    otherwise their ids (the blank's included) mean different tokens."""
+    """The emissions (or a model, whose predictions they would be), which
+    must have one column per vocabulary token; otherwise their ids (the
+    blank's included) mean different tokens."""
     if vocab.v_total != emissions.v_total:
         raise ShapeError(
             f"vocabulary width {vocab.v_total} != emission width {emissions.v_total}"
@@ -141,10 +144,12 @@ def emit_timeline(
 ) -> list[TimelineRow]:
     """One row per frame: argmax token, its surface, and its probability.
 
-    Bound tag surfaces are used when a registry is supplied; otherwise
-    placeholders show their vocabulary auto-names.
+    Bound tag surfaces are used when a registry over `vocab` is supplied;
+    otherwise placeholders show their vocabulary auto-names.
     """
     check_width(emissions, vocab)
+    if registry is not None and registry.vocab != vocab:
+        raise ShapeError("the registry binds into a different vocabulary")
     surfaces = (registry if registry is not None else TagRegistry(vocab)).surfaces
     probs = emissions.probs
     return [

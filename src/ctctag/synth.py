@@ -207,28 +207,28 @@ class SynthConfig(_JsonConfig):
 default_config = SynthConfig
 
 
+def _grammar_tags(cfg: SynthConfig) -> list[tuple[str, TagKind, str | None]]:
+    """(surface, kind, entity type) of every tag the grammar draws, in binding order."""
+    tags = [(f"@{name}@", TagKind.INTENT, None) for name in sorted(cfg.intents)]
+    tags += [(f"!{name}!", TagKind.ENTITY_BEGIN, name) for name in sorted(cfg.entity_types)]
+    return tags + [("!END!", TagKind.ENTITY_END, None), ("<SPK>", TagKind.SPEAKER_CHANGE, None)]
+
+
 def build_registry(cfg: SynthConfig, placeholder_count: int = 16) -> TagRegistry:
     """Vocabulary over the grammar's words plus bindings for every tag."""
-    needed = len(cfg.intents) + len(cfg.entity_types) + 2
-    if placeholder_count < needed:
-        raise UsageError(f"need at least {needed} placeholders for this grammar")
+    tags = _grammar_tags(cfg)
+    if placeholder_count < len(tags):
+        raise UsageError(f"need at least {len(tags)} placeholders for this grammar")
     registry = TagRegistry(build_vocab(cfg.all_words(), placeholder_count))
-    for name in sorted(cfg.intents):
-        registry = assign_tag(registry, f"@{name}@", TagKind.INTENT)
-    for name in sorted(cfg.entity_types):
-        registry = assign_tag(registry, f"!{name}!", TagKind.ENTITY_BEGIN, entity_type=name)
-    registry = assign_tag(registry, "!END!", TagKind.ENTITY_END)
-    registry = assign_tag(registry, "<SPK>", TagKind.SPEAKER_CHANGE)
+    for tag in tags:
+        registry = assign_tag(registry, *tag)
     return registry
 
 
 def _check_tags_bound(cfg: SynthConfig, registry: TagRegistry) -> None:
-    surfaces = [f"@{name}@" for name in cfg.intents]
-    surfaces += [f"!{name}!" for name in cfg.entity_types]
-    surfaces.append("!END!")
-    if cfg.speaker_change_probability > 0:
-        surfaces.append("<SPK>")
-    for surface in surfaces:
+    for surface, kind, _ in _grammar_tags(cfg):
+        if kind is TagKind.SPEAKER_CHANGE and cfg.speaker_change_probability == 0:
+            continue
         if registry.binding_for_surface(surface) is None:
             raise UnknownToken(f"grammar tag {surface} is not bound in the registry")
 
@@ -282,11 +282,6 @@ def _sample_segments(cfg: SynthConfig, rng: np.random.Generator) -> list[list[st
     return segments
 
 
-def _words_of(segments: list[list[str]]) -> list[str]:
-    first = {"@", "!", "<"}
-    return [tok for seg in segments for tok in seg if tok[0] not in first]
-
-
 def _sample_frame_counts(
     cfg: SynthConfig, rng: np.random.Generator, n_words: int, min_total: int
 ) -> np.ndarray:
@@ -332,7 +327,7 @@ def sample_utterance(
     segments = _sample_segments(cfg, rng)
     tagged_text = " ".join(tok for seg in segments for tok in seg)
     labels = encode_tagged_text(registry, tagged_text)
-    words = _words_of(segments)
+    words = [registry.surfaces[i] for i in labels if registry.binding_by_id[i] is None]
     counts = _sample_frame_counts(cfg, rng, len(words), ctc.min_frames(labels))
     features = _render_features(cfg, rng, words, counts, table)
     return tagged_text, labels, features
@@ -557,7 +552,7 @@ def load_training_samples(
     for record in read_manifest(manifest_path):
         labels = encode_tagged_text(registry, record.tagged_text)
         if strip_tags:
-            labels = [t for t in labels if registry.binding_for_id(t) is None]
+            labels = [t for t in labels if registry.binding_by_id[t] is None]
         features = read_feature_file(manifest_feature_path(manifest_path, record.feature_path))
         samples.append((features, labels))
     return samples

@@ -164,15 +164,12 @@ class TagRegistry:
     def __init__(self, vocab: Vocabulary, bindings: tuple[TagBinding, ...] = ()):
         self.vocab = vocab
         self.bindings = tuple(bindings)
-        self._by_surface: dict[str, TagBinding] = {}
-        # where several bindings share a kind and type or name, the first wins
-        self._end: TagBinding | None = None
-        self._speaker_change: TagBinding | None = None
-        self._begin_by_type: dict[str, TagBinding] = {}
-        self._intent_by_name: dict[str, TagBinding] = {}
-        end_count = 0
         surfaces = [surface for surface, _ in vocab.tokens]
         binding_by_id: list[TagBinding | None] = [None] * vocab.v_total
+        # inverse of `surfaces` over the non-blank ids
+        id_by_text = {text: i for i, text in enumerate(surfaces[:-1])}
+        # (kind, intent name or entity type) -> the first binding with that key
+        self._first_by_key: dict[tuple[TagKind, str | None], TagBinding] = {}
         for b in self.bindings:
             if vocab.role_of(b.token_id) is not TokenRole.PLACEHOLDER:
                 raise InvalidToken(f"token id {b.token_id} is not a placeholder")
@@ -183,31 +180,25 @@ class TagRegistry:
             if (b.kind is TagKind.ENTITY_BEGIN) != bool(b.entity_type):
                 raise InvalidToken(f"{b.surface!r}: only entity-begin tags, and all of them, "
                                    "take an entity_type")
-            if b.surface in self._by_surface:
+            if b.surface in id_by_text:  # not a vocabulary token, so an earlier tag
                 raise DuplicateToken(f"tag surface {b.surface!r} bound twice")
             if binding_by_id[b.token_id] is not None:
                 raise DuplicateToken(f"token id {b.token_id} bound twice")
-            if b.kind is TagKind.ENTITY_END:
-                end_count += 1
-                self._end = b
-            elif b.kind is TagKind.SPEAKER_CHANGE and self._speaker_change is None:
-                self._speaker_change = b
-            elif b.kind is TagKind.ENTITY_BEGIN:
-                self._begin_by_type.setdefault(b.entity_type, b)
-            elif b.kind is TagKind.INTENT:
-                self._intent_by_name.setdefault(b.name, b)
-            self._by_surface[b.surface] = b
+            key = b.name if b.kind is TagKind.INTENT else b.entity_type or None
+            self._first_by_key.setdefault((b.kind, key), b)
             binding_by_id[b.token_id] = b
+            del id_by_text[surfaces[b.token_id]]
+            id_by_text[b.surface] = b.token_id
             surfaces[b.token_id] = b.surface
-        if end_count > 1:
+        if sum(b.kind is TagKind.ENTITY_END for b in self.bindings) > 1:
             raise DuplicateEndTag("only one shared entity-end tag is allowed")
         self.surfaces = tuple(surfaces)
         self.binding_by_id = tuple(binding_by_id)
-        # inverse over the non-blank ids
-        self._id_by_text = {text: i for i, text in enumerate(surfaces[:-1])}
+        self._id_by_text = id_by_text
 
     def binding_for_surface(self, surface: str) -> TagBinding | None:
-        return self._by_surface.get(surface)
+        token_id = self._id_by_text.get(surface)
+        return None if token_id is None else self.binding_by_id[token_id]
 
     def binding_for_id(self, token_id: int) -> TagBinding | None:
         """The binding of `token_id`; None if it is unbound or out of range."""
@@ -215,20 +206,20 @@ class TagRegistry:
 
     @property
     def end_binding(self) -> TagBinding | None:
-        return self._end
+        return self._first_by_key.get((TagKind.ENTITY_END, None))
 
     def begin_binding_for_type(self, entity_type: str) -> TagBinding:
         try:
-            return self._begin_by_type[entity_type]
+            return self._first_by_key[TagKind.ENTITY_BEGIN, entity_type]
         except KeyError:
             raise UnknownToken(f"no entity-begin tag bound for type {entity_type!r}") from None
 
     def speaker_change_binding(self) -> TagBinding | None:
-        return self._speaker_change
+        return self._first_by_key.get((TagKind.SPEAKER_CHANGE, None))
 
     def intent_binding(self, name: str) -> TagBinding | None:
         """The intent tag whose name (surface without decoration) is `name`."""
-        return self._intent_by_name.get(name)
+        return self._first_by_key.get((TagKind.INTENT, name))
 
     def __eq__(self, other) -> bool:
         return (
@@ -254,13 +245,10 @@ def assign_tag(
     The new registry checks the binding, as it checks every loaded one.
     """
     vocab = registry.vocab
-    bound = {b.token_id for b in registry.bindings}
-    token_id = next(
-        (i for i in range(vocab.l_count, vocab.l_count + vocab.d_count) if i not in bound),
-        None,
-    )
-    if token_id is None:
-        raise NoFreePlaceholder("all placeholder tokens are bound")
+    try:
+        token_id = registry.binding_by_id.index(None, vocab.l_count, vocab.l_count + vocab.d_count)
+    except ValueError:
+        raise NoFreePlaceholder("all placeholder tokens are bound") from None
     binding = TagBinding(tag_surface, token_id, kind, entity_type)
     return TagRegistry(vocab, registry.bindings + (binding,))
 
@@ -327,7 +315,7 @@ def vocab_document(registry: TagRegistry) -> str:
     tokens = []
     for token_id, (_, role) in enumerate(vocab.tokens):
         entry: dict[str, object] = {"surface": registry.surfaces[token_id], "role": role.value}
-        binding = registry.binding_for_id(token_id)
+        binding = registry.binding_by_id[token_id]
         if binding is not None:
             entry["tag_kind"] = binding.kind.value
             if binding.entity_type is not None:

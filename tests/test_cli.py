@@ -581,6 +581,33 @@ class TestDataErrors:
             f"error: {model}: vocabulary width {v_total} != emission width {v_total - 1}\n")
         assert not (tmp_path / "o").exists()
 
+    def test_feature_file_of_the_wrong_width_names_the_file(self, pipeline, tmp_path, capsys):
+        data = pipeline["data"]
+        v_total = c.load_vocab(data / "vocab.json").vocab.v_total
+        model = tmp_path / "model.json"
+        c.save_model(c.ToyModel.init(15, v_total, np.random.default_rng(0)), model)
+        manifest = data / "manifest_heldout.jsonl"
+        record = read_manifest(manifest)[0]
+        frames = c.read_feature_file(data / record.feature_path).shape[0]
+        assert main(["decode", "--model", str(model), "--manifest", str(manifest),
+                     "--vocab", str(data / "vocab.json"), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {os.path.join(data, record.feature_path)}: "
+            f"features must be (T, 15), got ({frames}, 16)\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_timeline_of_the_wrong_width_names_the_file(self, tmp_path, calendar_registry, capsys):
+        vocab_path = tmp_path / "vocab.json"
+        c.save_vocab(calendar_registry, vocab_path)
+        v_total = calendar_registry.vocab.v_total
+        narrow = tmp_path / "narrow.ctcl"
+        c.write_emission_file(narrow, np.eye(v_total - 1)[[0, -1]], EMISSION_KIND_PROBS)
+        assert main(["timeline", "--emissions", str(narrow),
+                     "--vocab", str(vocab_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {narrow}: vocabulary width {v_total} != emission width {v_total - 1}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_emission_file_of_the_wrong_width(self, tmp_path, calendar_registry, capsys):
         vocab_path = tmp_path / "vocab.json"
         c.save_vocab(calendar_registry, vocab_path)

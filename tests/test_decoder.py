@@ -117,6 +117,10 @@ class TestStreamingDecoder:
         stream = c.StreamingDecoder(v_total=4)
         with pytest.raises(c.ShapeError):
             stream.push(np.array([0.5, 0.5]))
+        # below 2, as EmissionMatrix refuses it
+        for v_total in (0, 1):
+            with pytest.raises(c.ShapeError, match=f"stream width {v_total} must be at least 2"):
+                c.StreamingDecoder(v_total)
 
     def test_rejects_bad_rows(self):
         stream = c.StreamingDecoder()
@@ -270,6 +274,18 @@ class TestTimeline:
         m = c.EmissionMatrix(np.full((2, 3), 1.0 / 3.0))
         with pytest.raises(c.ShapeError):
             c.emit_timeline(m, calendar_registry.vocab)
+
+
+    def test_registry_over_another_vocabulary_is_refused(self, calendar_registry):
+        vocab = c.build_vocab(["a", "b"], 1)
+        m = one_hot([0, 1, 3], vocab.v_total)
+        other_words = c.TagRegistry(c.build_vocab(["c", "d"], 1))  # same width
+        for registry in (calendar_registry, other_words):
+            with pytest.raises(c.ShapeError, match="registry binds into a different vocabulary"):
+                c.emit_timeline(m, vocab, registry)
+        # an equal vocabulary built apart is the same vocabulary
+        rows = c.emit_timeline(m, vocab, c.TagRegistry(c.build_vocab(["a", "b"], 1)))
+        assert [r.surface for r in rows] == ["a", "b", c.BLANK_SURFACE]
 
 
 def test_blank_fraction():

@@ -87,6 +87,63 @@ def test_assign_tag_rejects_duplicate_surface():
         c.assign_tag(registry, "@A@", c.TagKind.INTENT)
 
 
+# names collide: "@A@", "!A!", "<A>", "A" and "@A" all strip to "A"
+_TAG_SURFACES = [f"{left}{name}{right}" for name in "AB"
+                 for left, right in [("@", "@"), ("!", "!"), ("<", ">"), ("", ""), ("@", "")]]
+
+
+@st.composite
+def binding_sets(draw, placeholder_ids):
+    """Bindings on distinct placeholders in any id order, with colliding
+    intent names and entity types, several speaker-change tags and at most
+    one entity-end tag."""
+    ids = draw(st.permutations(placeholder_ids))[: draw(st.integers(0, len(placeholder_ids)))]
+    surfaces = draw(st.permutations(_TAG_SURFACES))
+    kinds = [draw(st.sampled_from([c.TagKind.INTENT, c.TagKind.ENTITY_BEGIN,
+                                   c.TagKind.SPEAKER_CHANGE])) for _ in ids]
+    if ids and draw(st.booleans()):
+        kinds[draw(st.integers(0, len(ids) - 1))] = c.TagKind.ENTITY_END
+    return tuple(
+        c.TagBinding(surface, token_id, kind, draw(
+            st.sampled_from(["X", "Y"] if kind is c.TagKind.ENTITY_BEGIN else [None, ""])))
+        for surface, token_id, kind in zip(surfaces, ids, kinds)
+    )
+
+
+@given(bindings=binding_sets(range(2, 10)))
+@settings(max_examples=300, deadline=None)
+def test_every_lookup_is_the_first_match_in_bindings(bindings):
+    vocab = c.build_vocab(["a", "b"], 8)
+    reg = c.TagRegistry(vocab, bindings)
+
+    def first(**fields):
+        return next((b for b in bindings
+                     if all(getattr(b, k) == v for k, v in fields.items())), None)
+
+    for surface in [*_TAG_SURFACES, *(s for s, _ in vocab.tokens), "!END!"]:
+        assert reg.binding_for_surface(surface) is first(surface=surface)
+    for token_id in range(-1, vocab.v_total + 1):
+        assert reg.binding_for_id(token_id) is first(token_id=token_id)
+    assert reg.end_binding is first(kind=c.TagKind.ENTITY_END)
+    assert reg.speaker_change_binding() is first(kind=c.TagKind.SPEAKER_CHANGE)
+    for name in ["A", "B", "@A", "X", ""]:
+        assert reg.intent_binding(name) is first(kind=c.TagKind.INTENT, name=name)
+    for entity_type in ["X", "Y", None, ""]:
+        expected = first(kind=c.TagKind.ENTITY_BEGIN, entity_type=entity_type)
+        if expected is None:
+            with pytest.raises(c.UnknownToken, match="no entity-begin tag bound for type"):
+                reg.begin_binding_for_type(entity_type)
+        else:
+            assert reg.begin_binding_for_type(entity_type) is expected
+    free = sorted(set(range(2, 10)) - {b.token_id for b in bindings})
+    if free:
+        assert c.assign_tag(reg, "@NEW@", c.TagKind.INTENT).binding_for_surface(
+            "@NEW@").token_id == free[0]
+    else:
+        with pytest.raises(c.NoFreePlaceholder):
+            c.assign_tag(reg, "@NEW@", c.TagKind.INTENT)
+
+
 def test_bindings_only_on_placeholders():
     registry = c.TagRegistry(c.build_vocab(["put", "meeting"], 4))
     registry = c.assign_tag(registry, "@A@", c.TagKind.INTENT)
