@@ -2,9 +2,11 @@
 
 Every run writes a config.json echo of its effective settings beside its
 outputs, and identical flags plus seeds reproduce byte-identical files.
-Exit codes: 0 success, 1 usage error (`UsageError`), 2 data error (any
-other `CtcTagError`, or an `OSError`). Any other exception is a bug and
-escapes with its traceback.
+`decode` writes one compact JSON line per utterance to transcripts.jsonl,
+in input order, beside hyp_manifest.jsonl; config.json and report.json are
+indented. Exit codes: 0 success, 1 usage error (`UsageError`), 2 data
+error (any other `CtcTagError`, or an `OSError`). Any other exception is a
+bug and escapes with its traceback.
 """
 
 from __future__ import annotations
@@ -12,14 +14,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import fields
-from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from .decoder import check_width, emit_timeline, greedy_decode
-from .errors import AlignmentError, CtcTagError, FormatError, UsageError
+from .errors import AlignmentError, CtcTagError, EmptyReference, FormatError, UsageError
 from .evaluate import evaluate_corpus
 from .formats import _named, load_emission_matrix, read_feature_file
 from .synth import (
@@ -51,50 +51,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _json_text(value, newline: str) -> str:
-    """`value` as `json.dumps(value, sort_keys=True, indent=2)` writes it when
-    it sits after `newline`, a line break and the indent of its line.
-
-    Dict keys must be strings. json.dumps(indent=...) runs json's pure-Python
-    encoder; this formats the layout itself and escapes each string with the
-    C escape json.dumps uses, and writes an int as json does, by int.__repr__.
-    """
-    if isinstance(value, str):
-        return _json_string(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        items = [_json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = [_json_string(k) + ": " + _json_text(value[k], inner) for k in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return json.dumps(value)  # bool, None, float (NaN and Infinity as json writes them)
-
-
 def _write_json(path, doc: dict) -> None:
     """Write `json.dumps(doc, sort_keys=True, indent=2)` and a newline."""
-    data = (_json_text(doc, "\n") + "\n").encode("ascii")
-    # os.open, not open(): decode writes a file per utterance, and the file
-    # object layers cost about as much as formatting the document
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    try:
-        while data:
-            data = data[os.write(fd, data):]
-    finally:
-        os.close(fd)
-
-
-def _is_file_name(name: str) -> bool:
-    """Whether `name` names a file in its directory: not empty, '.' or '..',
-    and without '/' or NUL."""
-    return name not in ("", ".", "..") and "/" not in name and "\0" not in name
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -235,36 +194,35 @@ def _cmd_decode(args) -> None:
         raise UsageError("give either --model/--manifest or --emissions")
     registry = load_vocab(args.vocab)
     vocab = registry.vocab
-    inputs: list[tuple[str, str, object]] = []
     if features_mode:
         model = load_model(args.model)
         _named(args.model, check_width, model, vocab)  # once: it fixes every prediction's width
-        for record in read_manifest(args.manifest):
-            # the id names the transcript file, so it must stay in transcripts/
-            uid = record.uid
-            if not _is_file_name(uid):
-                raise FormatError(f"{args.manifest}: id {uid!r} is not a file name")
-            path = manifest_feature_path(args.manifest, record.feature_path)
-            inputs.append((uid, record.feature_path,
-                           _named(path, model.predict, read_feature_file(path))))
+        sources = [(r.uid, r.feature_path) for r in read_manifest(args.manifest)]
     else:
+        # a file's stem is its id, and eval refuses a repeated id
         path_of_stem: dict[str, str] = {}
         for path in args.emissions:
             stem = Path(path).stem
             if stem in path_of_stem:
-                raise FormatError(f"{path_of_stem[stem]} and {path} both decode to {stem}.json")
+                raise FormatError(f"{path_of_stem[stem]} and {path} both decode to id {stem!r}")
             path_of_stem[stem] = path
-            inputs.append((stem, path, _named(path, check_width, load_emission_matrix(path), vocab)))
+        sources = list(path_of_stem.items())
 
-    out = _out_dir(args)
-    transcripts = f"{out}/transcripts"
-    os.makedirs(transcripts, exist_ok=True)
-    records = []
-    for uid, source, emissions in inputs:
+    # one pass: each input is read and decoded before the next is read, and
+    # nothing is written until every input has decoded
+    lines, records = [], []
+    for uid, source in sources:
+        if features_mode:
+            path = manifest_feature_path(args.manifest, source)
+            emissions = _named(path, model.predict, read_feature_file(path))
+        else:
+            emissions = _named(source, check_width, load_emission_matrix(source), vocab)
         tagged_text, doc = _decode_one(registry, emissions)
         doc["id"] = uid
-        _write_json(f"{transcripts}/{uid}.json", doc)
+        lines.append(json.dumps(doc, sort_keys=True) + "\n")
         records.append(UtteranceRecord(uid=uid, tagged_text=tagged_text, feature_path=source))
+    out = _out_dir(args)
+    (out / "transcripts.jsonl").write_text("".join(lines))
     write_manifest(out / "hyp_manifest.jsonl", records)
     _write_json(out / "config.json", {
         "command": "decode",
@@ -293,7 +251,13 @@ def _cmd_eval(args) -> None:
 
     ref_ts = [to_transcript(r) for r in ref_records]
     hyp_ts = [to_transcript(hyp_by_id[r.uid]) for r in ref_records]
-    report = evaluate_corpus(ref_ts, hyp_ts)
+    no_intent = [r.uid for r, t in zip(ref_records, ref_ts) if t.intent is None]
+    if no_intent:
+        raise AlignmentError(f"{args.ref}: reference {no_intent[0]!r} has no intent tag")
+    try:
+        report = evaluate_corpus(ref_ts, hyp_ts)
+    except EmptyReference as exc:
+        raise EmptyReference(f"{args.ref}: {exc}") from None
     doc = {
         "n_utterances": len(ref_records),
         "precision": round(report.precision, 4),
