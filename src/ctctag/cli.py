@@ -19,7 +19,14 @@ from dataclasses import fields
 from pathlib import Path
 
 from .decoder import check_width, emit_timeline, greedy_decode
-from .errors import AlignmentError, CtcTagError, EmptyReference, FormatError, UsageError
+from .errors import (
+    AlignmentError,
+    CtcTagError,
+    EmptyReference,
+    FormatError,
+    UnknownToken,
+    UsageError,
+)
 from .evaluate import evaluate_corpus
 from .formats import _named, load_emission_matrix, read_feature_file
 from .synth import (
@@ -246,11 +253,15 @@ def _cmd_eval(args) -> None:
     if extra:
         raise AlignmentError(f"{args.hyp}: {extra[0]} is not in the reference {args.ref}")
 
-    def to_transcript(record):
-        return parse(encode_tagged_text(registry, record.tagged_text), registry)
+    def to_transcript(path, record):
+        try:
+            labels = encode_tagged_text(registry, record.tagged_text)
+        except UnknownToken as exc:
+            raise UnknownToken(f"{path}: id {record.uid!r}: {exc}") from None
+        return parse(labels, registry)
 
-    ref_ts = [to_transcript(r) for r in ref_records]
-    hyp_ts = [to_transcript(hyp_by_id[r.uid]) for r in ref_records]
+    ref_ts = [to_transcript(args.ref, r) for r in ref_records]
+    hyp_ts = [to_transcript(args.hyp, hyp_by_id[r.uid]) for r in ref_records]
     no_intent = [r.uid for r, t in zip(ref_records, ref_ts) if t.intent is None]
     if no_intent:
         raise AlignmentError(f"{args.ref}: reference {no_intent[0]!r} has no intent tag")

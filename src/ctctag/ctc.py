@@ -353,7 +353,7 @@ def _occupancy_log(log_probs: np.ndarray, ext: np.ndarray) -> tuple[float, np.nd
 
 
 def ctc_neg_log_likelihood(emissions: EmissionMatrix, labels) -> float:
-    """-log p(labels | emissions) by the forward recursion.
+    """-log p(labels | emissions) by the log-space forward–backward.
 
     Raises InfeasibleAlignment when no frame path of length T can collapse to
     the labels; returns +inf when the alignment is feasible but every path has

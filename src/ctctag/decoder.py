@@ -1,11 +1,11 @@
-"""Greedy decoding, its streaming twin, and per-frame timelines.
+"""Greedy decoding, streaming decoding, and per-frame timelines.
 
-Greedy decoding is frame-local: take the argmax token of every row (ties go
-to the lowest id), then collapse. That locality is what makes the streaming
-variant exact — a label can be committed the moment its argmax run ends,
-and committed labels never retract. The streaming decoder keeps the labels
-and spans it reports (the open run last), so a partial result is a copy,
-not a rebuild.
+Greedy decoding is frame-local: take each row's argmax (ties go to the
+lowest id), then collapse. Batch and streaming decoding run one collapse
+step, so they agree by construction; a label is committed the moment its
+argmax run ends and never retracts. The streaming decoder keeps the labels
+and spans it reports (the open run last), so a partial result is a copy, not
+a rebuild.
 """
 
 from __future__ import annotations
@@ -38,34 +38,43 @@ class TimelineRow:
     is_blank: bool
 
 
+def _collapse(path: list[int], labels: list[int], spans: list[tuple[int, int]],
+              ids: list[int], blank_id: int) -> list[tuple[int, tuple[int, int]]]:
+    """Extend a decode's path, labels and spans by the argmax ids of the next
+    frames; return the (label, span) of each run those ids ended."""
+    ended = []
+    prev = path[-1] if path else blank_id
+    for t, value in enumerate(ids, len(path)):
+        if value == prev:
+            if value != blank_id:
+                spans[-1] = (spans[-1][0], t)
+            continue
+        if prev != blank_id:
+            ended.append((prev, spans[-1]))
+        if value != blank_id:
+            labels.append(value)
+            spans.append((t, t))
+        prev = value
+    path.extend(ids)
+    return ended
+
+
 def greedy_decode(emissions: EmissionMatrix) -> DecodeResult:
     """Per-frame argmax followed by CTC collapse, with frame spans."""
-    path = np.argmax(emissions.probs, axis=1).tolist()
-    blank_id = emissions.blank_id
-    labels: list[int] = []
-    spans: list[tuple[int, int]] = []
-    prev = blank_id
-    for t, value in enumerate(path):
-        if value != blank_id:
-            if value == prev:
-                spans[-1] = (spans[-1][0], t)
-            else:
-                labels.append(value)
-                spans.append((t, t))
-        prev = value
+    path, labels, spans = [], [], []
+    _collapse(path, labels, spans, np.argmax(emissions.probs, axis=1).tolist(), emissions.blank_id)
     return DecodeResult(tuple(path), tuple(labels), tuple(spans))
 
 
 class StreamingDecoder:
     """Incremental greedy decoder over probability rows of fixed width.
 
-    Feed rows with `push`; each call returns the labels committed by that
-    frame (a run is committed once a different argmax value arrives). A row
-    that EmissionMatrix would refuse (an entry outside [0, 1], NaN, or a sum
-    off 1 by more than ROW_SUM_TOL, summed left to right) raises
-    InvalidValue and is not taken in. `result()`
-    matches `greedy_decode` of all rows seen so far, including the
-    still-open run. One instance belongs to one stream; not thread-safe.
+    Feed rows with `push`; each call returns the labels committed by that frame
+    (a run is committed once a different argmax value arrives). A row that
+    EmissionMatrix would refuse (an entry outside [0, 1], NaN, or a sum off 1
+    by more than ROW_SUM_TOL, summed left to right) raises InvalidValue and is
+    not taken in. `result()` is `greedy_decode` of all rows seen so far, open
+    run included. One instance belongs to one stream; not thread-safe.
     """
 
     def __init__(self, v_total: int | None = None):
@@ -102,24 +111,12 @@ class StreamingDecoder:
 
         values = row.tolist()
         top = max(values)
-        t = len(self._path)
         # EmissionMatrix's rule, in Python floats; NaN and +-inf fail the sum
         if not (min(values) >= 0.0 and top <= 1.0 and abs(sum(values) - 1.0) <= ROW_SUM_TOL):
-            raise InvalidValue(f"stream row {t} is refused: entries must lie in [0, 1], "
-                               f"not NaN, and sum to 1 within {ROW_SUM_TOL}")
+            raise InvalidValue(f"stream row {len(self._path)} is refused: entries must lie in "
+                               f"[0, 1], not NaN, and sum to 1 within {ROW_SUM_TOL}")
         value = values.index(top)  # the first maximum, as np.argmax takes
-        blank_id = self._v_total - 1
-        prev = self._path[-1] if t else blank_id
-        self._path.append(value)
-        if value == prev:
-            if value != blank_id:
-                self._spans[-1] = (self._spans[-1][0], t)
-            return []
-        committed = [(prev, self._spans[-1])] if prev != blank_id else []
-        if value != blank_id:
-            self._labels.append(value)
-            self._spans.append((t, t))
-        return committed
+        return _collapse(self._path, self._labels, self._spans, [value], self._v_total - 1)
 
     def result(self) -> DecodeResult:
         """Decode state over all frames seen so far, open run included."""

@@ -466,9 +466,12 @@ class ToyModel:
         feats = as_rows(features, "features", 1)
         if feats.shape[1] != self.feature_dim:
             raise ShapeError(f"features must be (T, {self.feature_dim}), got {feats.shape}")
-        x = _windows(feats, self.receptive_field)
-        hidden = np.tanh(x @ self.w1 + self.b1)
-        return hidden @ self.w2 + self.b2
+        return self._forward(_windows(feats, self.receptive_field))[1]
+
+    def _forward(self, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The hidden activations and the logits of window rows."""
+        hidden = np.tanh(windows @ self.w1 + self.b1)
+        return hidden, hidden @ self.w2 + self.b2
 
     def predict(self, features: np.ndarray) -> EmissionMatrix:
         """Frame-synchronous emission probabilities (T_out == T_in)."""
@@ -511,7 +514,7 @@ def load_model(path: str | Path) -> ToyModel:
             b2=np.asarray(doc["b2"], dtype=np.float64),
             receptive_field=receptive_field,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ShapeError) as exc:
         raise FormatError(f"{path}: bad model file: {exc}") from exc
     # json reads NaN and Infinity as floats
     check_finite(FormatError, path, "weights", model.w1, model.b1, model.w2, model.b2)
@@ -547,14 +550,20 @@ class TrainConfig(_JsonConfig):
 def load_training_samples(
     manifest_path: str | Path, registry: TagRegistry, strip_tags: bool = False
 ) -> list[tuple[np.ndarray, list[int]]]:
-    """Load (features, label ids) pairs; optionally drop tag tokens."""
+    """Load (features, label ids) pairs; optionally drop tag tokens. An
+    error in the manifest's text names the manifest and the line's id."""
     samples = []
     for record in read_manifest(manifest_path):
-        labels = encode_tagged_text(registry, record.tagged_text)
+        try:
+            labels = encode_tagged_text(registry, record.tagged_text)
+        except UnknownToken as exc:
+            raise UnknownToken(f"{manifest_path}: id {record.uid!r}: {exc}") from None
         if strip_tags:
             labels = [t for t in labels if registry.binding_by_id[t] is None]
         features = read_feature_file(manifest_feature_path(manifest_path, record.feature_path))
         samples.append((features, labels))
+    if not samples:
+        raise InvalidValue(f"{manifest_path}: no training samples")
     return samples
 
 
@@ -630,8 +639,7 @@ def train(
             batch = [usable[i] for i in order[start : start + cfg.batch_size]]
             # one stacked forward pass and one CTC lattice over the whole batch
             xs = np.vstack([_windows(f, model.receptive_field) for f, _ in batch])
-            hidden = np.tanh(xs @ model.w1 + model.b1)
-            logits = hidden @ model.w2 + model.b2
+            hidden, logits = model._forward(xs)
             try:
                 nll, grad = ctc.nll_and_gradient(
                     logits, [labels for _, labels in batch], [f.shape[0] for f, _ in batch]

@@ -601,6 +601,26 @@ class TestDataErrors:
             f"error: {model}: vocabulary width {v_total} != emission width {v_total - 1}\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["w1"].pop(),
+         "bad model file: w1 rows must be receptive_field * feature_dim"),
+        (lambda doc: doc["b1"].pop(), "bad model file: hidden dimensions disagree"),
+        (lambda doc: doc.update(w1=sum(doc["w1"], [])),
+         "bad model file: w1 and w2 must be 2-D, b1 and b2 1-D"),
+        (lambda doc: doc.pop("version"), "not a model file"),
+    ], ids=["w1_row_missing", "b1_short", "w1_flat", "no_version"])
+    def test_model_file_refusals_name_the_file(self, pipeline, tmp_path, capsys, edit, message):
+        data = pipeline["data"]
+        doc = json.loads((pipeline["model"] / "model.json").read_text())
+        edit(doc)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert main(["decode", "--model", str(model),
+                     "--manifest", str(data / "manifest_heldout.jsonl"),
+                     "--vocab", str(data / "vocab.json"), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_feature_file_of_the_wrong_width_names_the_file(self, pipeline, tmp_path, capsys):
         data = pipeline["data"]
         v_total = c.load_vocab(data / "vocab.json").vocab.v_total
@@ -781,6 +801,79 @@ class TestDataErrors:
             "eval", "--ref", str(manifest), "--hyp", str(manifest),
             "--vocab", str(vocab_path), "--out", str(tmp_path / "s"),
         ]) == 2
+
+    @pytest.mark.parametrize("command", ["eval_ref", "eval_hyp", "train"])
+    def test_unknown_surface_names_the_manifest_and_the_id(self, pipeline, tmp_path, capsys,
+                                                           command):
+        data = pipeline["data"]
+        (tmp_path / "features").symlink_to(data / "features")
+        source = data / ("manifest_train.jsonl" if command == "train" else "manifest_heldout.jsonl")
+        records = read_manifest(source)
+        spoiled = records[2]
+        records[2] = UtteranceRecord(spoiled.uid, spoiled.tagged_text + " zebra",
+                                     spoiled.feature_path)
+        manifest = tmp_path / "manifest.jsonl"
+        write_manifest(manifest, records)
+        vocab = str(data / "vocab.json")
+        out = tmp_path / "o"
+        argv = {
+            "eval_ref": ["eval", "--ref", str(manifest), "--hyp", str(source)],
+            "eval_hyp": ["eval", "--ref", str(source), "--hyp", str(manifest)],
+            "train": ["train", "--epochs", "1", "--manifest", str(manifest)],
+        }[command]
+        assert main([*argv, "--vocab", vocab, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: id {spoiled.uid!r}: "
+            "surface 'zebra' is neither a bound tag nor a word\n")
+        assert not out.exists()
+
+    def test_train_on_an_empty_manifest_names_it(self, pipeline, tmp_path, capsys):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("")
+        assert main(["train", "--manifest", str(manifest),
+                     "--vocab", str(pipeline["data"] / "vocab.json"),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {manifest}: no training samples\n"
+        assert not (tmp_path / "o").exists()
+
+
+def _drop(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _set_token(token_id, key, value):
+    def edit(doc):
+        doc["tokens"][token_id][key] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [doc], "expected a JSON object"),
+    (_drop("version"), "missing version field"),
+    (_drop("L"), "missing field 'L'"),
+    (_set_token(0, "surface", 5), "surface and entity_type at id 0 must be strings"),
+    (_set_token(36, "entity_type", 5), "surface and entity_type at id 36 must be strings"),
+    (_set_token(0, "tag_kind", "intent"), "tag metadata on non-placeholder id 0"),
+    (_set_token(33, "tag_kind", "mood"), "bad tag kind at id 33"),
+    (lambda doc: {**doc, "L": doc["L"] + 1, "D": doc["D"] - 1},
+     "role blocks disagree with the L/D header"),
+], ids=["not_an_object", "no_version", "no_field", "surface_not_a_string",
+        "entity_type_not_a_string", "tag_on_a_word", "bad_tag_kind", "roles_against_header"])
+def test_vocab_file_refusals_name_the_file(tmp_path, calendar_registry, capsys, edit, message):
+    # token 33 is the first tag (an intent) and 36 an entity-begin tag
+    doc = json.loads(c.vocab_document(calendar_registry))
+    assert doc["tokens"][33]["tag_kind"] == "intent"
+    assert doc["tokens"][36]["tag_kind"] == "entity_begin"
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps(edit(doc)))
+    emissions = tmp_path / "u.ctcl"
+    c.write_emission_file(emissions, np.eye(calendar_registry.vocab.v_total)[[0, -1]],
+                          EMISSION_KIND_PROBS)
+    assert main(["timeline", "--emissions", str(emissions), "--vocab", str(vocab),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {vocab}: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 #: one-field mutations: null, two numbers, a string, a list and a dict

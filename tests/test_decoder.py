@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,27 @@ def one_hot(path, v_total):
 
 def random_emissions(rng, t_frames, v_total):
     return c.EmissionMatrix.from_unnormalized(rng.random((t_frames, v_total)) + 1e-3)
+
+
+def tied_emissions(rng, t_frames, v_total):
+    """Rows drawn from three levels, so most rows tie for their maximum."""
+    return c.EmissionMatrix.from_unnormalized(rng.integers(1, 4, size=(t_frames, v_total)) * 1.0)
+
+
+def first_max_path(probs):
+    """Each row's first maximum, found without numpy."""
+    return [row.index(max(row)) for row in probs.tolist()]
+
+
+def runs_oracle(path, blank_id):
+    """(label, (first, last)) of each non-blank run of the path, by groupby."""
+    runs, t = [], 0
+    for value, run in itertools.groupby(path):
+        length = len(list(run))
+        if value != blank_id:
+            runs.append((value, (t, t + length - 1)))
+        t += length
+    return runs
 
 
 class TestGreedyDecode:
@@ -40,20 +63,22 @@ class TestGreedyDecode:
 
     def test_labels_match_collapse_oracle(self):
         rng = np.random.default_rng(21)
-        for _ in range(50):
+        for make in [random_emissions] * 50 + [tied_emissions] * 50:
             t_frames = int(rng.integers(1, 40))
             v_total = int(rng.integers(3, 9))
-            m = random_emissions(rng, t_frames, v_total)
+            m = make(rng, t_frames, v_total)
             result = c.greedy_decode(m)
-            argmax_path = [int(k) for k in np.argmax(m.probs, axis=1)]
+            argmax_path = first_max_path(m.probs)
             assert list(result.path) == argmax_path
             assert list(result.labels) == c.collapse(argmax_path, m.blank_id)
 
     def test_span_soundness(self):
         rng = np.random.default_rng(22)
-        for _ in range(20):
-            m = random_emissions(rng, int(rng.integers(2, 30)), 5)
+        for make in [random_emissions] * 20 + [tied_emissions] * 20:
+            m = make(rng, int(rng.integers(2, 30)), 5)
             result = c.greedy_decode(m)
+            runs = runs_oracle(first_max_path(m.probs), m.blank_id)
+            assert list(zip(result.labels, result.frame_spans)) == runs
             covered = set()
             prev_last = -1
             for label, (first, last) in zip(result.labels, result.frame_spans):
@@ -71,13 +96,16 @@ class TestGreedyDecode:
 class TestStreamingDecoder:
     def test_matches_batch_decode(self):
         rng = np.random.default_rng(23)
-        for _ in range(50):
-            m = random_emissions(rng, int(rng.integers(1, 40)), int(rng.integers(3, 9)))
+        for make in [random_emissions] * 50 + [tied_emissions] * 50:
+            m = make(rng, int(rng.integers(1, 40)), int(rng.integers(3, 9)))
             stream = c.StreamingDecoder()
-            for row in m.probs:
-                stream.push(row)
+            pushed = [pair for row in m.probs for pair in stream.push(row)]
             batch = c.greedy_decode(m)
             assert stream.result() == batch
+            # both run one collapse step, so hold the commits to the oracle too
+            runs = runs_oracle(first_max_path(m.probs), m.blank_id)
+            assert pushed == runs[: len(stream.committed)] == stream.committed
+            assert len(runs) - len(pushed) == (batch.path[-1] != m.blank_id)
 
     def test_committed_is_stable_prefix(self):
         rng = np.random.default_rng(24)
