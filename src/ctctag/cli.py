@@ -1,7 +1,8 @@
 """Command-line workflows: gen-data, train, decode, eval, timeline.
 
-Every run writes a config.json echo of its effective settings beside its
-outputs, and identical flags plus seeds reproduce byte-identical files.
+Every run that succeeds ends by writing a config.json echo of its settings
+(`_config_document`); identical flags plus seeds reproduce byte-identical
+files, and a gen-data corpus that cannot be drawn writes nothing.
 `decode` writes one compact JSON line per utterance to transcripts.jsonl,
 in input order, beside hyp_manifest.jsonl; config.json and report.json are
 indented. Exit codes: 0 success, 1 usage error (`UsageError`), 2 data
@@ -139,28 +140,34 @@ def _config(cls, args):
     return cls.from_dict(doc)
 
 
-def _cmd_gen_data(args) -> None:
+def _config_document(args, cfg) -> dict:
+    """The command and every parsed flag but --out and --config; the flags
+    that set a field of `cfg` give way to its `to_dict()`, under "synth" or
+    "train"."""
+    doc = {k: v for k, v in vars(args).items() if k not in ("out", "config", "handler")}
+    if cfg is not None:
+        for f in fields(cfg):
+            doc.pop(f.name, None)
+        doc["synth" if isinstance(cfg, SynthConfig) else "train"] = cfg.to_dict()
+    return doc
+
+
+def _cmd_gen_data(args) -> SynthConfig:
     cfg = _config(SynthConfig, args)
-    if args.placeholders < 1:
-        raise UsageError("--placeholders must be >= 1")
     if args.split is not None and not 1 <= args.split < cfg.n_utterances:
         raise UsageError("--split must be between 1 and n_utterances - 1")
     registry = build_registry(cfg, placeholder_count=args.placeholders)
-    out = _out_dir(args)
+    # vocab.json follows the corpus, so one that cannot be drawn leaves no --out directory
+    records = gen_corpus(cfg, registry, args.out)
+    out = Path(args.out)
     save_vocab(registry, out / "vocab.json")
-    records = gen_corpus(cfg, registry, out)
     if args.split is not None:
         write_manifest(out / "manifest_train.jsonl", records[: args.split])
         write_manifest(out / "manifest_heldout.jsonl", records[args.split :])
-    _write_json(out / "config.json", {
-        "command": "gen-data",
-        "synth": cfg.to_dict(),
-        "placeholders": args.placeholders,
-        "split": args.split,
-    })
+    return cfg
 
 
-def _cmd_train(args) -> None:
+def _cmd_train(args) -> TrainConfig:
     registry = load_vocab(args.vocab)
     cfg = _config(TrainConfig, args)
     model, losses = train_from_manifest(args.manifest, registry, cfg)
@@ -175,12 +182,7 @@ def _cmd_train(args) -> None:
     lines = ["epoch\tmean_nll"]
     lines += [f"{i}\t{loss:.6f}" for i, loss in enumerate(losses)]
     (out / "loss_log.tsv").write_text("".join(line + "\n" for line in lines))
-    _write_json(out / "config.json", {
-        "command": "train",
-        "manifest": args.manifest,
-        "vocab": args.vocab,
-        "train": cfg.to_dict(),
-    })
+    return cfg
 
 
 def _decode_one(registry, emissions) -> tuple[str, dict]:
@@ -231,13 +233,6 @@ def _cmd_decode(args) -> None:
     out = _out_dir(args)
     (out / "transcripts.jsonl").write_text("".join(lines))
     write_manifest(out / "hyp_manifest.jsonl", records)
-    _write_json(out / "config.json", {
-        "command": "decode",
-        "vocab": args.vocab,
-        "model": args.model,
-        "manifest": args.manifest,
-        "emissions": args.emissions,
-    })
 
 
 def _cmd_eval(args) -> None:
@@ -297,12 +292,6 @@ def _cmd_eval(args) -> None:
         f"f1 {doc['f1']:.4f}  wer {doc['wer']:.4f}  "
         f"intent_accuracy {doc['intent_accuracy']:.4f}"
     )
-    _write_json(out / "config.json", {
-        "command": "eval",
-        "ref": args.ref,
-        "hyp": args.hyp,
-        "vocab": args.vocab,
-    })
 
 
 def _cmd_timeline(args) -> None:
@@ -315,17 +304,13 @@ def _cmd_timeline(args) -> None:
         lines.append(f"{row.t}\t{row.token_id}\t{row.surface}\t{row.prob:.6f}\t{flag}")
     out = _out_dir(args)
     (out / "timeline.tsv").write_text("".join(line + "\n" for line in lines))
-    _write_json(out / "config.json", {
-        "command": "timeline",
-        "emissions": args.emissions,
-        "vocab": args.vocab,
-    })
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        args.handler(args)
+        cfg = args.handler(args)  # the SynthConfig or TrainConfig it ran with, or None
+        _write_json(Path(args.out) / "config.json", _config_document(args, cfg))
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

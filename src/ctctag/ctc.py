@@ -353,7 +353,7 @@ def _occupancy_log(log_probs: np.ndarray, ext: np.ndarray) -> tuple[float, np.nd
 
 
 def ctc_neg_log_likelihood(emissions: EmissionMatrix, labels) -> float:
-    """-log p(labels | emissions) by the log-space forward–backward.
+    """-log p(labels | emissions) by the log-space forward recursion.
 
     Raises InfeasibleAlignment when no frame path of length T can collapse to
     the labels; returns +inf when the alignment is feasible but every path has
@@ -362,10 +362,10 @@ def ctc_neg_log_likelihood(emissions: EmissionMatrix, labels) -> float:
     with np.errstate(divide="ignore"):
         log_probs = np.log(emissions.probs)
     _, ext = _layout([labels], [emissions.t_frames], emissions.v_total, batched=False)
-    # a zero-probability target's occupancies are NaN (-inf minus -inf)
-    with np.errstate(invalid="ignore"):
-        log_p, _ = _occupancy_log(log_probs, ext[0, 0])
-    return -float(log_p)
+    log_emit = log_probs[:, ext[0, 0]]
+    alphas = _lattice_log(log_emit, _skip_into(ext[0, 0]))[-1] + log_emit[-1]
+    # the mass in the last two states (the one state with no labels)
+    return -float(np.logaddexp.reduce(alphas[-2:]))
 
 
 def _utterance(b: int, batched: bool) -> str:

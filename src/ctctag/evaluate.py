@@ -73,34 +73,25 @@ def ner_prf(ref: list[EntityTupleSet], hyp: list[EntityTupleSet]) -> NerReport:
     """
     if len(ref) != len(hyp):
         raise AlignmentError(f"{len(ref)} reference vs {len(hyp)} system utterances")
-    total_ref = total_sys = total_correct = 0
-    by_type: dict[str, list[int]] = {}
+    by_type: dict[str, list[int]] = {}  # type -> [reference, system, correct]
     for r, h in zip(ref, hyp):
-        total_ref += sum(r.values())
-        total_sys += sum(h.values())
         for key in r.keys() | h.keys():
-            entity_type = key[0]
-            correct = min(r.get(key, 0), h.get(key, 0))
-            total_correct += correct
-            t = by_type.setdefault(entity_type, [0, 0, 0])
-            t[0] += r.get(key, 0)
-            t[1] += h.get(key, 0)
-            t[2] += correct
+            n_ref, n_sys = r.get(key, 0), h.get(key, 0)
+            counts = by_type.setdefault(key[0], [0, 0, 0])
+            counts[0] += n_ref
+            counts[1] += n_sys
+            counts[2] += min(n_ref, n_sys)
 
-    precision = _ratio(total_correct, total_sys, total_ref)
-    recall = _ratio(total_correct, total_ref, total_sys)
+    # column sums; the zero row gives zeros when no utterance has an entity
+    totals = Totals(*map(sum, zip([0, 0, 0], *by_type.values())))
+    precision = _ratio(totals.total_correct, totals.total_system, totals.total_reference)
+    recall = _ratio(totals.total_correct, totals.total_reference, totals.total_system)
     per_type = {}
     for entity_type, (t_ref, t_sys, t_corr) in sorted(by_type.items()):
         p = _ratio(t_corr, t_sys, t_ref)
         r = _ratio(t_corr, t_ref, t_sys)
         per_type[entity_type] = TypeScores(p, r, f1_score(p, r))
-    return NerReport(
-        precision=precision,
-        recall=recall,
-        f1=f1_score(precision, recall),
-        per_type=per_type,
-        totals=Totals(total_ref, total_sys, total_correct),
-    )
+    return NerReport(precision, recall, f1_score(precision, recall), per_type, totals)
 
 
 def edit_distance(ref: list[str], hyp: list[str]) -> int:
@@ -168,13 +159,7 @@ def evaluate_corpus(
         raise AlignmentError(f"{len(ref)} reference vs {len(hyp)} system transcripts")
     ner = ner_prf([to_tuples(t) for t in ref], [to_tuples(t) for t in hyp])
     return EvalReport(
-        precision=ner.precision,
-        recall=ner.recall,
-        f1=ner.f1,
+        **vars(ner),
         wer=corpus_wer([list(t.words) for t in ref], [list(t.words) for t in hyp]),
-        intent_accuracy=intent_accuracy(
-            [t.intent for t in ref], [t.intent for t in hyp]
-        ),
-        per_type=ner.per_type,
-        totals=ner.totals,
+        intent_accuracy=intent_accuracy([t.intent for t in ref], [t.intent for t in hyp]),
     )

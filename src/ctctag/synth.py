@@ -13,6 +13,7 @@ generation could be parallelized per utterance without changing output.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -334,14 +335,16 @@ def sample_utterance(
 
 
 def gen_corpus(cfg: SynthConfig, registry: TagRegistry, out_dir: str | Path) -> list[UtteranceRecord]:
-    """Write features/*.ctcf plus manifest.jsonl under out_dir."""
+    """Write features/*.ctcf plus manifest.jsonl under out_dir. Every
+    utterance is drawn before out_dir is made, so one that cannot be drawn
+    writes nothing."""
     _check_tags_bound(cfg, registry)
+    table = embedding_table(cfg)
+    drawn = [sample_utterance(cfg, registry, idx, table) for idx in range(cfg.n_utterances)]
     out = Path(out_dir)
     (out / "features").mkdir(parents=True, exist_ok=True)
-    table = embedding_table(cfg)
     records = []
-    for idx in range(cfg.n_utterances):
-        tagged_text, _, features = sample_utterance(cfg, registry, idx, table)
+    for idx, (tagged_text, _, features) in enumerate(drawn):
         uid = f"utt_{idx:05d}"
         rel = f"features/{uid}.ctcf"
         write_feature_file(out / rel, features)
@@ -480,18 +483,16 @@ class ToyModel:
 
 MODEL_FILE_VERSION = 1
 
+# ToyModel's weight fields, in the order train's gradients follow
+_WEIGHTS = ("w1", "b1", "w2", "b2")
+
 
 def save_model(model: ToyModel, path: str | Path) -> None:
     """InvalidValue, writing nothing, if a weight is not finite."""
-    check_finite(InvalidValue, path, "weights", model.w1, model.b1, model.w2, model.b2)
-    doc = {
-        "version": MODEL_FILE_VERSION,
-        "receptive_field": model.receptive_field,
-        "w1": model.w1.tolist(),
-        "b1": model.b1.tolist(),
-        "w2": model.w2.tolist(),
-        "b2": model.b2.tolist(),
-    }
+    weights = {name: getattr(model, name) for name in _WEIGHTS}
+    check_finite(InvalidValue, path, "weights", *weights.values())
+    doc = {name: w.tolist() for name, w in weights.items()}
+    doc.update(version=MODEL_FILE_VERSION, receptive_field=model.receptive_field)
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
@@ -507,17 +508,12 @@ def load_model(path: str | Path) -> ToyModel:
         receptive_field = doc["receptive_field"]
         if type(receptive_field) is not int:  # bool is an int subclass
             raise TypeError(f"receptive_field must be an integer, got {receptive_field!r}")
-        model = ToyModel(
-            w1=np.asarray(doc["w1"], dtype=np.float64),
-            b1=np.asarray(doc["b1"], dtype=np.float64),
-            w2=np.asarray(doc["w2"], dtype=np.float64),
-            b2=np.asarray(doc["b2"], dtype=np.float64),
-            receptive_field=receptive_field,
-        )
+        weights = {name: np.asarray(doc[name], dtype=np.float64) for name in _WEIGHTS}
+        model = ToyModel(**weights, receptive_field=receptive_field)
     except (KeyError, TypeError, ValueError, ShapeError) as exc:
         raise FormatError(f"{path}: bad model file: {exc}") from exc
     # json reads NaN and Infinity as floats
-    check_finite(FormatError, path, "weights", model.w1, model.b1, model.w2, model.b2)
+    check_finite(FormatError, path, "weights", *weights.values())
     return model
 
 
@@ -597,13 +593,7 @@ def train(
                 f"init_model has (feature_dim, v_total, receptive_field, hidden_width) "
                 f"{found}; this corpus, vocabulary and config need {wanted}"
             )
-        model = ToyModel(
-            w1=init_model.w1.copy(),
-            b1=init_model.b1.copy(),
-            w2=init_model.w2.copy(),
-            b2=init_model.b2.copy(),
-            receptive_field=init_model.receptive_field,
-        )
+        model = copy.deepcopy(init_model)
     else:
         model = ToyModel.init(
             feature_dim,
@@ -629,7 +619,7 @@ def train(
     if not usable:
         raise InvalidValue("every sample was infeasible")
 
-    params = [model.w1, model.b1, model.w2, model.b2]
+    params = [getattr(model, name) for name in _WEIGHTS]
     velocity = [np.zeros_like(p) for p in params]
     losses = []
     for epoch in range(cfg.epochs):

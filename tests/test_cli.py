@@ -408,6 +408,42 @@ class TestConfigDocuments:
         train_echo = json.loads((pipeline["model"] / "config.json").read_text())["train"]
         assert c.TrainConfig.from_dict(train_echo).to_dict() == train_echo
 
+    def test_config_json_of_every_command(self, pipeline, tmp_path):
+        # the command and every flag but --out and --config; a config's flags
+        # show as that config under "synth" or "train"
+        data, model = pipeline["data"], pipeline["model"]
+        vocab, heldout = str(data / "vocab.json"), str(data / "manifest_heldout.jsonl")
+        trained = c.load_model(model / "model.json")
+        emissions = []
+        for record in read_manifest(heldout)[:2]:
+            emissions.append(str(tmp_path / f"{record.uid}.ctcl"))
+            logits = trained.logits(c.read_feature_file(data / record.feature_path))
+            c.write_emission_file(emissions[-1], logits, EMISSION_KIND_LOGITS)
+        assert main(["decode", "--emissions", *emissions, "--vocab", vocab,
+                     "--out", str(tmp_path / "d")]) == 0
+        assert main(["timeline", "--emissions", emissions[0], "--vocab", vocab,
+                     "--out", str(tmp_path / "tl")]) == 0
+        expected = {
+            data: {"command": "gen-data", "placeholders": 16, "split": 60,
+                   "synth": c.SynthConfig(seed=11, n_utterances=80).to_dict()},
+            model: {"command": "train", "manifest": str(data / "manifest_train.jsonl"),
+                    "vocab": vocab,
+                    "train": {"batch_size": 16, "epochs": 4, "hidden_width": 64,
+                              "learning_rate": 0.05, "momentum": 0.9, "receptive_field": 5,
+                              "seed": 0, "strip_tags": False}},
+            pipeline["decoded"]: {"command": "decode", "vocab": vocab,
+                                  "model": str(model / "model.json"), "manifest": heldout,
+                                  "emissions": None},
+            tmp_path / "d": {"command": "decode", "vocab": vocab, "model": None,
+                             "manifest": None, "emissions": emissions},
+            pipeline["scores"]: {"command": "eval", "ref": heldout,
+                                 "hyp": str(pipeline["decoded"] / "hyp_manifest.jsonl"),
+                                 "vocab": vocab},
+            tmp_path / "tl": {"command": "timeline", "emissions": emissions[0], "vocab": vocab},
+        }
+        for out, doc in expected.items():
+            assert json.loads((out / "config.json").read_text()) == doc, out
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, tmp_path):
@@ -424,6 +460,14 @@ class TestUsageErrors:
             "gen-data", "--out", str(tmp_path / "x"),
             "--n-utterances", "10", "--split", "10",
         ]) == 1
+
+    @pytest.mark.parametrize("count", ["-1", "0", "8"])
+    def test_too_few_placeholders_for_the_grammar(self, tmp_path, capsys, count):
+        out = tmp_path / "x"
+        assert main(["gen-data", "--out", str(out), "--n-utterances", "3",
+                     "--placeholders", count]) == 1
+        assert "need at least 9 placeholders for this grammar" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_synth_value(self, tmp_path):
         assert main([
@@ -556,6 +600,21 @@ class TestDataErrors:
                      "--config", str(config)]) == 2
         assert "features must be finite numbers" in capsys.readouterr().err
         assert list(out.rglob("*.ctcf")) == []
+
+    @pytest.mark.parametrize("config, message", [
+        ({"frames_per_token": [2, 2], "entities_per_utterance": [0, 2], "phrase_words": [1, 1],
+          "fillers_per_utterance": [2, 2]},
+         "frames_per_token 2..2 cannot cover 9 labels with 4 words"),
+        ({"frames_per_token": [1, 1]}, "frames_per_token 1..1 cannot cover"),
+    ], ids=["after_files", "first_utterance"])
+    def test_gen_data_refusing_a_corpus_writes_nothing(self, tmp_path, capsys, config, message):
+        cfg_path = tmp_path / "g.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "data"
+        assert main(["gen-data", "--seed", "1", "--n-utterances", "50",
+                     "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     # the first step overflows: training stops there, unwarned, and writes nothing
     def test_train_into_non_finite_weights(self, pipeline, tmp_path, capsys):

@@ -171,6 +171,8 @@ class TestStreamingDecoder:
         result = stream.result()
         assert result.path == ()
         assert result.labels == ()
+        with pytest.raises(c.ShapeError, match="no frames pushed yet"):
+            stream.blank_id
 
     @pytest.mark.parametrize("row", [
         [np.inf, 0.5, 0.5], [-3.0, 0.0, 2.0], [0.5, 0.5, 0.5], [1.5, -0.25, -0.25],

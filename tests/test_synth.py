@@ -62,6 +62,18 @@ class TestSynthConfig:
         with pytest.raises(ValueError):
             tiny_config(speaker_change_probability=1.5)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"frames_per_token": (0, 2)}, "frames_per_token must be >= 1"),
+        ({"entities_per_utterance": (-1, 1)}, "entities_per_utterance must be >= 0"),
+        ({"filler_lexicon": ("with",)}, "filler lexicon needs at least 2 words"),
+        ({"phrase_words": (0, 2)}, "phrase_words must be >= 1"),
+        ({"intents": {}}, "need at least one intent"),
+        ({"intents": {"CALENDER_SET": ()}}, "intent CALENDER_SET lexicon is empty"),
+    ])
+    def test_each_refusal_names_its_rule(self, overrides, message):
+        with pytest.raises(c.UsageError, match=message):
+            tiny_config(**overrides)
+
     def test_dict_round_trip(self):
         cfg = tiny_config(speaker_change_probability=0.25)
         assert c.SynthConfig.from_dict(cfg.to_dict()) == cfg
@@ -498,10 +510,11 @@ class TestTrain:
         samples = [(features, labels) for _, labels, features in items[:16]]
         cfg = self.train_config(epochs=1)
         warm, _ = c.train(samples, registry.vocab.v_total, cfg)
-        w1_before = warm.w1.copy()
+        before = {name: getattr(warm, name).copy() for name in ("w1", "b1", "w2", "b2")}
         tuned, _ = c.train(samples, registry.vocab.v_total, cfg, init_model=warm)
-        np.testing.assert_array_equal(warm.w1, w1_before)  # input untouched
-        assert not np.array_equal(tuned.w1, w1_before)
+        for name, weight in before.items():
+            np.testing.assert_array_equal(getattr(warm, name), weight)  # input untouched
+            assert not np.array_equal(getattr(tuned, name), weight)
 
     def test_train_config_validation(self):
         with pytest.raises(ValueError):

@@ -174,6 +174,14 @@ class TestRender:
         )
         with pytest.raises(c.UnknownToken):
             c.render(t, calendar_registry)
+        # a registry binding no tag at all
+        unbound = c.TagRegistry(calendar_registry.vocab)
+        t = c.StructuredTranscript(None, ("paul",), (c.Entity("PERSON", "paul", (0, 1)),), (), ())
+        with pytest.raises(c.UnknownToken, match="no shared entity-end tag"):
+            c.render(t, unbound)
+        t = c.StructuredTranscript(None, ("put", "paul"), (), (1,), ())
+        with pytest.raises(c.UnknownToken, match="no speaker-change tag"):
+            c.render(t, unbound)
 
 
 @st.composite

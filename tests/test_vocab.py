@@ -16,6 +16,9 @@ def test_build_vocab_small_counts():
     assert vocab.surface_of(0) == "put"
     assert vocab.surface_of(2) == PLACEHOLDER_TEMPLATE.format(0)
     assert vocab.surface_of(4) == c.BLANK_SURFACE
+    for lookup, bad in ((vocab.surface_of, 5), (vocab.role_of, -1), (vocab.id_of, "zorp")):
+        with pytest.raises(c.UnknownToken):
+            lookup(bad)
 
 
 def test_build_vocab_full_scale_sizes():
@@ -50,6 +53,23 @@ def test_build_vocab_rejects_bad_surfaces():
         c.build_vocab(["two words"], 1)
     with pytest.raises(c.DuplicateToken):
         c.build_vocab(["a", "a"], 1)
+    with pytest.raises(c.UsageError, match="placeholder_count"):
+        c.build_vocab(["a"], -1)
+
+
+T, D, BLANK = c.TokenRole.TRANSCRIPTION, c.TokenRole.PLACEHOLDER, c.TokenRole.BLANK
+
+
+@pytest.mark.parametrize("roles, message", [
+    ([T, D], "exactly one blank"),
+    ([T, BLANK, BLANK], "exactly one blank"),
+    ([T, BLANK, D], "exactly one blank"),
+    ([D, T, BLANK], "contiguous blocks"),
+    ([T, D, T, BLANK], "contiguous blocks"),
+])
+def test_vocabulary_roles_must_be_words_placeholders_blank(roles, message):
+    with pytest.raises(c.InvalidToken, match=message):
+        c.Vocabulary([(f"t{i}", role) for i, role in enumerate(roles)])
 
 
 def test_assign_tag_takes_lowest_free_placeholder():
@@ -150,6 +170,12 @@ def test_bindings_only_on_placeholders():
     registry = c.assign_tag(registry, "<SPK>", c.TagKind.SPEAKER_CHANGE)
     for binding in registry.bindings:
         assert registry.vocab.role_of(binding.token_id) is c.TokenRole.PLACEHOLDER
+    vocab = registry.vocab
+    with pytest.raises(c.InvalidToken, match="token id 0 is not a placeholder"):
+        c.TagRegistry(vocab, (c.TagBinding("@A@", 0, c.TagKind.INTENT),))
+    with pytest.raises(c.DuplicateToken, match="token id 2 bound twice"):
+        c.TagRegistry(vocab, (c.TagBinding("@A@", 2, c.TagKind.INTENT),
+                              c.TagBinding("@B@", 2, c.TagKind.INTENT)))
 
 
 def test_encode_listing_token_by_token(calendar_registry, listing_text):
