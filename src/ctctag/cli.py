@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -187,9 +188,8 @@ def _cmd_train(args) -> TrainConfig:
 
 def _decode_one(registry, emissions) -> tuple[str, dict]:
     result = greedy_decode(emissions)
-    labels = list(result.labels)
-    tagged_text = decode_tokens(registry, labels)
-    transcript = parse(labels, registry, frame_spans=list(result.frame_spans))
+    tagged_text = decode_tokens(registry, result.labels)
+    transcript = parse(result.labels, registry, frame_spans=result.frame_spans)
     doc = transcript_to_dict(transcript)
     doc["tagged_text"] = tagged_text
     return tagged_text, doc
@@ -297,7 +297,7 @@ def _cmd_eval(args) -> None:
 def _cmd_timeline(args) -> None:
     registry = load_vocab(args.vocab)
     emissions = load_emission_matrix(args.emissions)
-    rows = _named(args.emissions, emit_timeline, emissions, registry.vocab, registry)
+    rows = _named(args.emissions, emit_timeline, emissions, registry)
     lines = ["t\ttoken_id\tsurface\tprob\tis_blank"]
     for row in rows:
         flag = "true" if row.is_blank else "false"
@@ -306,18 +306,25 @@ def _cmd_timeline(args) -> None:
     (out / "timeline.tsv").write_text("".join(line + "\n" for line in lines))
 
 
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-        cfg = args.handler(args)  # the SynthConfig or TrainConfig it ran with, or None
-        _write_json(Path(args.out) / "config.json", _config_document(args, cfg))
-        return 0
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (CtcTagError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # a warning is one line, as an error is, without the package's source line
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            args = _build_parser().parse_args(argv)
+            cfg = args.handler(args)  # the SynthConfig or TrainConfig it ran with, or None
+            _write_json(Path(args.out) / "config.json", _config_document(args, cfg))
+            return 0
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except (CtcTagError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -67,31 +67,27 @@ def greedy_decode(emissions: EmissionMatrix) -> DecodeResult:
 
 
 class StreamingDecoder:
-    """Incremental greedy decoder over probability rows of fixed width.
+    """Incremental greedy decoder over probability rows of its vocabulary's width.
 
     Feed rows with `push`; each call returns the labels committed by that frame
-    (a run is committed once a different argmax value arrives). A row that
-    EmissionMatrix would refuse (an entry outside [0, 1], NaN, or a sum off 1
-    by more than ROW_SUM_TOL, summed left to right) raises InvalidValue and is
-    not taken in. `result()` is `greedy_decode` of all rows seen so far, open
-    run included. One instance belongs to one stream; not thread-safe.
+    (a run is committed once a different argmax value arrives). A row not of
+    shape (v_total,) raises ShapeError, and one that EmissionMatrix would refuse
+    (an entry outside [0, 1], NaN, or a sum off 1 by more than ROW_SUM_TOL,
+    summed left to right) InvalidValue; neither is taken in. `result()` is
+    `greedy_decode` of all rows seen so far, open run included. One instance
+    belongs to one stream; not thread-safe.
     """
 
-    def __init__(self, v_total: int | None = None):
-        if v_total is not None and v_total < 2:
+    def __init__(self, v_total: int):
+        if v_total < 2:
             raise ShapeError(f"stream width {v_total} must be at least 2")
         self._v_total = v_total
+        self.blank_id = v_total - 1
         self._path: list[int] = []
         # the result's labels and spans; the open run is last while it is
         # not blank, and its span grows with it
         self._labels: list[int] = []
         self._spans: list[tuple[int, int]] = []
-
-    @property
-    def blank_id(self) -> int:
-        if self._v_total is None:
-            raise ShapeError("no frames pushed yet; width unknown")
-        return self._v_total - 1
 
     @property
     def committed(self) -> list[tuple[int, tuple[int, int]]]:
@@ -100,14 +96,8 @@ class StreamingDecoder:
 
     def push(self, row: np.ndarray) -> list[tuple[int, tuple[int, int]]]:
         row = np.asarray(row, dtype=np.float64)
-        if row.ndim != 1:
-            raise ShapeError(f"stream rows must be 1-D, got shape {row.shape}")
-        if self._v_total is None:
-            if row.shape[0] < 2:
-                raise ShapeError("stream rows need at least 2 entries")
-            self._v_total = row.shape[0]
-        elif row.shape[0] != self._v_total:
-            raise ShapeError(f"row width {row.shape[0]} != stream width {self._v_total}")
+        if row.shape != (self._v_total,):
+            raise ShapeError(f"stream rows must have shape ({self._v_total},), got {row.shape}")
 
         values = row.tolist()
         top = max(values)
@@ -116,7 +106,7 @@ class StreamingDecoder:
             raise InvalidValue(f"stream row {len(self._path)} is refused: entries must lie in "
                                f"[0, 1], not NaN, and sum to 1 within {ROW_SUM_TOL}")
         value = values.index(top)  # the first maximum, as np.argmax takes
-        return _collapse(self._path, self._labels, self._spans, [value], self._v_total - 1)
+        return _collapse(self._path, self._labels, self._spans, [value], self.blank_id)
 
     def result(self) -> DecodeResult:
         """Decode state over all frames seen so far, open run included."""
@@ -134,21 +124,12 @@ def check_width(emissions: EmissionMatrix, vocab: Vocabulary) -> EmissionMatrix:
     return emissions
 
 
-def emit_timeline(
-    emissions: EmissionMatrix,
-    vocab: Vocabulary,
-    registry: TagRegistry | None = None,
-) -> list[TimelineRow]:
-    """One row per frame: argmax token, its surface, and its probability.
-
-    Bound tag surfaces are used when a registry over `vocab` is supplied;
-    otherwise placeholders show their vocabulary auto-names.
-    """
-    check_width(emissions, vocab)
-    if registry is not None and registry.vocab != vocab:
-        raise ShapeError("the registry binds into a different vocabulary")
-    surfaces = (registry if registry is not None else TagRegistry(vocab)).surfaces
-    probs = emissions.probs
+def emit_timeline(emissions: EmissionMatrix, registry: TagRegistry) -> list[TimelineRow]:
+    """One row per frame of emissions over `registry.vocab`: argmax token, its
+    surface (a bound tag's, or an unbound placeholder's auto-name) and its
+    probability."""
+    check_width(emissions, registry.vocab)
+    surfaces, probs = registry.surfaces, emissions.probs
     return [
         TimelineRow(t=t, token_id=k, surface=surfaces[k], prob=float(probs[t, k]),
                     is_blank=k == emissions.blank_id)

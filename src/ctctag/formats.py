@@ -134,10 +134,17 @@ def check_finite(error: type, path, what: str, *arrays: np.ndarray) -> None:
         raise error(f"{path}: {what} must be finite numbers")
 
 
-def write_feature_file(path: str | Path, array: np.ndarray) -> None:
-    """InvalidValue if a feature is NaN or beyond the float32 range."""
+def _narrow_features(path, array: np.ndarray) -> np.ndarray:
+    """The features as stored, float32; InvalidValue naming `path` if one is
+    NaN or beyond the float32 range."""
     narrowed = _cast(as_rows(array, "features", 1), "<f4")
     check_finite(InvalidValue, path, "features", narrowed)
+    return narrowed
+
+
+def write_feature_file(path: str | Path, array: np.ndarray) -> None:
+    """InvalidValue if a feature is NaN or beyond the float32 range."""
+    narrowed = _narrow_features(path, array)
     header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FORMAT_VERSION, *narrowed.shape)
     Path(path).write_bytes(header + narrowed.tobytes())
 

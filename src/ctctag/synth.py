@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedVersion,
     UsageError,
 )
-from .formats import check_finite, read_feature_file, write_feature_file
+from .formats import _narrow_features, check_finite, read_feature_file, write_feature_file
 from .vocab import (
     TagKind,
     TagRegistry,
@@ -336,19 +336,22 @@ def sample_utterance(
 
 def gen_corpus(cfg: SynthConfig, registry: TagRegistry, out_dir: str | Path) -> list[UtteranceRecord]:
     """Write features/*.ctcf plus manifest.jsonl under out_dir. Every
-    utterance is drawn before out_dir is made, so one that cannot be drawn
-    writes nothing."""
+    utterance is drawn and narrowed to its stored float32 features before
+    out_dir is made, so one that cannot be drawn or stored writes nothing."""
     _check_tags_bound(cfg, registry)
     table = embedding_table(cfg)
-    drawn = [sample_utterance(cfg, registry, idx, table) for idx in range(cfg.n_utterances)]
     out = Path(out_dir)
-    (out / "features").mkdir(parents=True, exist_ok=True)
-    records = []
-    for idx, (tagged_text, _, features) in enumerate(drawn):
+    records, stored = [], []
+    for idx in range(cfg.n_utterances):
+        tagged_text, _, features = sample_utterance(cfg, registry, idx, table)
         uid = f"utt_{idx:05d}"
         rel = f"features/{uid}.ctcf"
-        write_feature_file(out / rel, features)
+        path = out / rel
+        stored.append((path, _narrow_features(path, features)))
         records.append(UtteranceRecord(uid=uid, tagged_text=tagged_text, feature_path=rel))
+    (out / "features").mkdir(parents=True, exist_ok=True)
+    for path, features in stored:
+        write_feature_file(path, features)
     write_manifest(out / "manifest.jsonl", records)
     return records
 
@@ -547,9 +550,13 @@ def load_training_samples(
     manifest_path: str | Path, registry: TagRegistry, strip_tags: bool = False
 ) -> list[tuple[np.ndarray, list[int]]]:
     """Load (features, label ids) pairs; optionally drop tag tokens. An
-    error in the manifest's text names the manifest and the line's id."""
-    samples = []
-    for record in read_manifest(manifest_path):
+    error in the manifest's text, or a feature width other than the first
+    line's (ShapeError), names the manifest and the line's id. A line whose
+    frames cannot fit its labels is skipped with a UserWarning naming the
+    manifest and the id; InvalidValue if no line is left."""
+    records = read_manifest(manifest_path)
+    samples, first = [], None
+    for record in records:
         try:
             labels = encode_tagged_text(registry, record.tagged_text)
         except UnknownToken as exc:
@@ -557,9 +564,19 @@ def load_training_samples(
         if strip_tags:
             labels = [t for t in labels if registry.binding_by_id[t] is None]
         features = read_feature_file(manifest_feature_path(manifest_path, record.feature_path))
+        first = first or (record.uid, features.shape[1])
+        if features.shape[1] != first[1]:
+            raise ShapeError(f"{manifest_path}: id {record.uid!r} has {features.shape[1]} "
+                             f"features per frame, id {first[0]!r} has {first[1]}")
+        need = ctc.min_frames(labels)
+        if features.shape[0] < need:
+            warnings.warn(f"{manifest_path}: id {record.uid!r}: {features.shape[0]} frames "
+                          f"cannot fit {need} alignment slots; skipped")
+            continue
         samples.append((features, labels))
     if not samples:
-        raise InvalidValue(f"{manifest_path}: no training samples")
+        problem = "every sample was infeasible" if records else "no training samples"
+        raise InvalidValue(f"{manifest_path}: {problem}")
     return samples
 
 

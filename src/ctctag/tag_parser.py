@@ -80,10 +80,7 @@ def parse(
         phrase = " ".join(words[start:end])
         frame_span = None
         if frame_spans is not None and end > start:
-            firsts = word_spans[start]
-            lasts = word_spans[end - 1]
-            if firsts is not None and lasts is not None:
-                frame_span = (firsts[0], lasts[1])
+            frame_span = (word_spans[start][0], word_spans[end - 1][1])
         entities.append(Entity(entity_type, phrase, (start, end), frame_span))
 
     binding_by_id, surfaces = registry.binding_by_id, registry.surfaces

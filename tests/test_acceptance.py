@@ -230,7 +230,7 @@ def test_a7_streaming_equals_batch_and_oracle():
     for _ in range(50):
         emissions = random_emissions(rng, int(rng.integers(1, 40)), int(rng.integers(3, 9)))
         batch = c.greedy_decode(emissions)
-        stream = c.StreamingDecoder()
+        stream = c.StreamingDecoder(emissions.v_total)
         for row in emissions.probs:
             stream.push(row)
         argmax_path = [int(k) for k in np.argmax(emissions.probs, axis=1)]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import ctctag as c
 from ctctag import cli
 from ctctag.cli import main
+from ctctag.ctc import min_frames
 from ctctag.formats import EMISSION_KIND_LOGITS, EMISSION_KIND_PROBS
 from ctctag.synth import UtteranceRecord, read_manifest, write_manifest
 
@@ -601,6 +602,18 @@ class TestDataErrors:
         assert "features must be finite numbers" in capsys.readouterr().err
         assert list(out.rglob("*.ctcf")) == []
 
+    # utterance 5 is the first whose features leave the float32 range; the
+    # five before it are drawn but not written
+    def test_gen_data_feature_beyond_float32_after_others_writes_nothing(self, tmp_path, capsys):
+        config = tmp_path / "synth.json"
+        config.write_text('{"noise_sigma": 1e38}')
+        out = tmp_path / "data"
+        assert main(["gen-data", "--seed", "2", "--n-utterances", "40",
+                     "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'features' / 'utt_00005.ctcf'}: features must be finite numbers\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("config, message", [
         ({"frames_per_token": [2, 2], "entities_per_utterance": [0, 2], "phrase_words": [1, 1],
           "fillers_per_utterance": [2, 2]},
@@ -774,7 +787,9 @@ class TestDataErrors:
         write_manifest(tmp_path / "manifest.jsonl", records)
         assert main(["train", "--epochs", "1", "--manifest", str(tmp_path / "manifest.jsonl"),
                      "--vocab", str(data / "vocab.json"), "--out", str(tmp_path / "o")]) == 2
-        assert "utterance 1 has 8 features per frame" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'manifest.jsonl'}: id {records[1].uid!r} has 8 features per "
+            f"frame, id {records[0].uid!r} has 16\n")
         assert not (tmp_path / "o").exists()
 
     def test_decode_repeated_manifest_id(self, pipeline, tmp_path, capsys):
@@ -885,6 +900,36 @@ class TestDataErrors:
             f"error: {manifest}: id {spoiled.uid!r}: "
             "surface 'zebra' is neither a bound tag nor a word\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("cut", [[0, 1], [1]], ids=["every_line", "one_line"])
+    def test_train_names_each_skipped_line(self, pipeline, tmp_path, capsys, cut):
+        data = pipeline["data"]
+        registry = c.load_vocab(data / "vocab.json")
+        records = read_manifest(data / "manifest_train.jsonl")[:2]
+        expected = []
+        for i in cut:  # to 2 frames, fewer than any line's labels need
+            record = records[i]
+            short = c.read_feature_file(data / record.feature_path)[:2]
+            c.write_feature_file(tmp_path / f"{record.uid}.ctcf", short)
+            records[i] = UtteranceRecord(record.uid, record.tagged_text, f"{record.uid}.ctcf")
+            need = min_frames(c.encode_tagged_text(registry, record.tagged_text))
+            expected.append(f"warning: {tmp_path / 'manifest.jsonl'}: id {record.uid!r}: "
+                            f"2 frames cannot fit {need} alignment slots; skipped\n")
+        (tmp_path / "features").symlink_to(data / "features")
+        manifest = tmp_path / "manifest.jsonl"
+        write_manifest(manifest, records)
+        out = tmp_path / "o"
+        code = main(["train", "--epochs", "1", "--manifest", str(manifest),
+                     "--vocab", str(data / "vocab.json"), "--out", str(out)])
+        err = capsys.readouterr().err
+        if len(cut) == len(records):
+            assert code == 2
+            assert err == "".join(expected) + f"error: {manifest}: every sample was infeasible\n"
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert err == "".join(expected)
+            assert (out / "model.json").exists()
 
     def test_train_on_an_empty_manifest_names_it(self, pipeline, tmp_path, capsys):
         manifest = tmp_path / "manifest.jsonl"

@@ -241,7 +241,12 @@ class TestGenCorpus:
         records = c.gen_corpus(cfg, c.build_registry(cfg), tmp_path)
         from ctctag.synth import read_manifest
 
-        assert read_manifest(tmp_path / "manifest.jsonl") == records
+        path = tmp_path / "manifest.jsonl"
+        assert read_manifest(path) == records
+        # blank and whitespace-only lines hold no record
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(["", lines[0], " \t", *lines[1:], ""]) + "\n")
+        assert read_manifest(path) == records
 
     def test_unbound_grammar_tag_is_rejected(self, tmp_path):
         cfg = tiny_config()
