@@ -10,7 +10,7 @@ diagnostics. WER is computed on words with all event tags stripped.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import AlignmentError, EmptyReference
 from .tag_parser import StructuredTranscript
@@ -25,9 +25,9 @@ def to_tuples(transcript: StructuredTranscript) -> EntityTupleSet:
 
 @dataclass(frozen=True)
 class Totals:
-    total_reference: int = 0
-    total_system: int = 0
-    total_correct: int = 0
+    total_reference: int
+    total_system: int
+    total_correct: int
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,14 @@ class NerReport:
     precision: float
     recall: float
     f1: float
-    per_type: dict[str, TypeScores] = field(default_factory=dict)
-    totals: Totals = Totals()
+    per_type: dict[str, TypeScores]
+    totals: Totals
 
 
 @dataclass(frozen=True)
 class EvalReport(NerReport):
-    wer: float = field(kw_only=True)
-    intent_accuracy: float = field(kw_only=True)
+    wer: float
+    intent_accuracy: float
 
 
 def f1_score(precision: float, recall: float) -> float:

@@ -135,9 +135,12 @@ def check_finite(error: type, path, what: str, *arrays: np.ndarray) -> None:
 
 
 def _narrow_features(path, array: np.ndarray) -> np.ndarray:
-    """The features as stored, float32; InvalidValue naming `path` if one is
-    NaN or beyond the float32 range."""
-    narrowed = _cast(as_rows(array, "features", 1), "<f4")
+    """The features as stored, float32 (an array that already is one is used
+    as it is); InvalidValue naming `path` if one is NaN or beyond the float32
+    range."""
+    narrowed = np.asarray(array)
+    if narrowed.dtype != "<f4" or narrowed.ndim != 2 or 0 in narrowed.shape:
+        narrowed = _cast(as_rows(narrowed, "features", 1), "<f4")
     check_finite(InvalidValue, path, "features", narrowed)
     return narrowed
 

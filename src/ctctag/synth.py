@@ -337,7 +337,8 @@ def sample_utterance(
 def gen_corpus(cfg: SynthConfig, registry: TagRegistry, out_dir: str | Path) -> list[UtteranceRecord]:
     """Write features/*.ctcf plus manifest.jsonl under out_dir. Every
     utterance is drawn and narrowed to its stored float32 features before
-    out_dir is made, so one that cannot be drawn or stored writes nothing."""
+    out_dir is made, so one that cannot be drawn or stored writes nothing;
+    `write_feature_file` then stores those float32 arrays as they are."""
     _check_tags_bound(cfg, registry)
     table = embedding_table(cfg)
     out = Path(out_dir)
@@ -546,38 +547,50 @@ class TrainConfig(_JsonConfig):
             raise UsageError("receptive_field must be odd and >= 1, hidden_width >= 1")
 
 
+def _admit(samples, prefix: str) -> list[tuple[np.ndarray, list[int]]]:
+    """The one rule that admits a training sample, run over `(name,
+    features, labels)` triples in order; returns the usable (features, label
+    list) pairs. A feature width other than the first sample's is a
+    ShapeError, a sample whose frames cannot fit its labels is skipped with a
+    UserWarning, and none left is an InvalidValue. Every message starts with
+    `prefix` and names the sample."""
+    usable, first = [], None
+    for name, features, labels in samples:
+        first = first or (name, features.shape[1])
+        if features.shape[1] != first[1]:
+            raise ShapeError(f"{prefix}{name} has {features.shape[1]} features per frame, "
+                             f"{first[0]} has {first[1]}")
+        need = ctc.min_frames(labels)
+        if features.shape[0] < need:
+            warnings.warn(f"{prefix}{name}: {features.shape[0]} frames cannot fit "
+                          f"{need} alignment slots; skipped")
+            continue
+        usable.append((features, list(labels)))
+    if not usable:
+        problem = "every sample was infeasible" if first else "no training samples"
+        raise InvalidValue(prefix + problem)
+    return usable
+
+
 def load_training_samples(
     manifest_path: str | Path, registry: TagRegistry, strip_tags: bool = False
 ) -> list[tuple[np.ndarray, list[int]]]:
-    """Load (features, label ids) pairs; optionally drop tag tokens. An
-    error in the manifest's text, or a feature width other than the first
-    line's (ShapeError), names the manifest and the line's id. A line whose
-    frames cannot fit its labels is skipped with a UserWarning naming the
-    manifest and the id; InvalidValue if no line is left."""
-    records = read_manifest(manifest_path)
-    samples, first = [], None
-    for record in records:
-        try:
-            labels = encode_tagged_text(registry, record.tagged_text)
-        except UnknownToken as exc:
-            raise UnknownToken(f"{manifest_path}: id {record.uid!r}: {exc}") from None
-        if strip_tags:
-            labels = [t for t in labels if registry.binding_by_id[t] is None]
-        features = read_feature_file(manifest_feature_path(manifest_path, record.feature_path))
-        first = first or (record.uid, features.shape[1])
-        if features.shape[1] != first[1]:
-            raise ShapeError(f"{manifest_path}: id {record.uid!r} has {features.shape[1]} "
-                             f"features per frame, id {first[0]!r} has {first[1]}")
-        need = ctc.min_frames(labels)
-        if features.shape[0] < need:
-            warnings.warn(f"{manifest_path}: id {record.uid!r}: {features.shape[0]} frames "
-                          f"cannot fit {need} alignment slots; skipped")
-            continue
-        samples.append((features, labels))
-    if not samples:
-        problem = "every sample was infeasible" if records else "no training samples"
-        raise InvalidValue(f"{manifest_path}: {problem}")
-    return samples
+    """Load (features, label ids) pairs; optionally drop tag tokens. Each
+    line is read and held to the training-sample rule (`_admit`) in order,
+    and every error or warning names the manifest and the line's id."""
+
+    def named_samples():
+        for record in read_manifest(manifest_path):
+            try:
+                labels = encode_tagged_text(registry, record.tagged_text)
+            except UnknownToken as exc:
+                raise UnknownToken(f"{manifest_path}: id {record.uid!r}: {exc}") from None
+            if strip_tags:
+                labels = [t for t in labels if registry.binding_by_id[t] is None]
+            features = read_feature_file(manifest_feature_path(manifest_path, record.feature_path))
+            yield f"id {record.uid!r}", features, labels
+
+    return _admit(named_samples(), f"{manifest_path}: ")
 
 
 def train(
@@ -588,18 +601,17 @@ def train(
 ) -> tuple[ToyModel, list[float]]:
     """SGD with momentum on the mean per-utterance CTC loss.
 
-    Returns the model and one mean-loss entry per epoch. Utterances whose
-    label sequence cannot fit their frame count are skipped with a warning;
-    one whose feature width differs from the first's is a ShapeError, and a
-    step that leaves a weight non-finite an InvalidValue. A loss or gradient
-    that is not finite after the first step is an InvalidValue naming the
-    epoch, the batch and the learning rate.
+    Returns the model and one mean-loss entry per epoch. The samples are
+    held to the training-sample rule that `load_training_samples` runs
+    (`_admit`), named "utterance 0", "utterance 1", ... A step that leaves a
+    weight non-finite is an InvalidValue; so is a loss or gradient that is
+    not finite after the first step, naming the epoch, the batch and the
+    learning rate.
     Pass init_model to continue from earlier weights, e.g. fine-tuning a
     transcription-only model after its placeholders are bound to tags.
     """
-    if not samples:
-        raise InvalidValue("no training samples")
-    feature_dim = samples[0][0].shape[1]
+    usable = _admit(((f"utterance {i}", *sample) for i, sample in enumerate(samples)), "")
+    feature_dim = usable[0][0].shape[1]
     rng = np.random.default_rng(cfg.seed)
     if init_model is not None:
         found = (init_model.feature_dim, init_model.v_total,
@@ -619,22 +631,6 @@ def train(
             receptive_field=cfg.receptive_field,
             hidden_width=cfg.hidden_width,
         )
-
-    usable = []
-    for i, (features, labels) in enumerate(samples):
-        if features.shape[1] != feature_dim:
-            raise ShapeError(f"utterance {i} has {features.shape[1]} features per frame, "
-                             f"utterance 0 has {feature_dim}")
-        need = ctc.min_frames(labels)
-        if features.shape[0] < need:
-            warnings.warn(
-                f"skipping utterance {i}: {features.shape[0]} frames cannot "
-                f"fit {need} alignment slots"
-            )
-            continue
-        usable.append((features, list(labels)))
-    if not usable:
-        raise InvalidValue("every sample was infeasible")
 
     params = [getattr(model, name) for name in _WEIGHTS]
     velocity = [np.zeros_like(p) for p in params]

@@ -370,8 +370,9 @@ def load_vocab(path: str | Path) -> TagRegistry:
     header = (l_count, d_count, blank_id)
     if not isinstance(entries, list) or any(type(n) is not int for n in header):
         raise FormatError(f"{path}: L, D and blank_id must be integers and tokens a list")
-    if len(entries) != l_count + d_count + 1 or blank_id != len(entries) - 1:
-        raise FormatError(f"{path}: token count does not match L + D + 1")
+    if blank_id != len(entries) - 1:
+        raise FormatError(f"{path}: blank_id {blank_id} is not the last token id "
+                          f"{len(entries) - 1}")
 
     tokens: list[tuple[str, TokenRole]] = []
     bindings: list[TagBinding] = []

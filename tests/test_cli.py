@@ -7,8 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import ctctag as c
 from ctctag import cli
@@ -315,23 +313,23 @@ class TestReproducibility:
         assert ids == [f"utt_{i:05d}" for i in range(60, 65)]
 
 
-# strings that need json's escapes: quotes, backslashes, control and non-ASCII
-# characters, and lone surrogates, beside any other character
-json_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600\ud800'),
-                              st.characters()))
-json_values = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), json_text),
-    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(json_text, inner, max_size=4)),
-    max_leaves=25,
-)
+# documents that need each of json's escapes and special values
+JSON_DOCUMENTS = [
+    {"quote": 'say "hi"', "back\\slash": "a\\b\\\\c", "slash": "a/b"},
+    {"controls": "\x00\x01\x1f\x7f\n\t\r\b\f", "\n": "key with a newline"},
+    {"accented": "caf\u00e9", "euro": "\u20ac", "emoji": "\U0001f600", "\u00e9": "non-ASCII key"},
+    {"lone_surrogate": "\ud800", "low": "x\udfffy"},
+    {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "float": 0.1, "tiny": 5e-324},
+    {"int": -(10**30), "bool": True, "none": None, "empty": [], "empty_doc": {}},
+    {"nested": [{"b": [1, [2.5, {"c": "\ud83d"}]], "a": None}, "\""], "z": {"y": {"x": {}}}},
+]
 
 
-@given(doc=st.dictionaries(json_text, json_values, max_size=5))
-@settings(max_examples=300, deadline=None)
-def test_write_json_writes_what_json_dumps_writes(tmp_path_factory, doc):
-    path = tmp_path_factory.mktemp("json") / "doc.json"
-    cli._write_json(path, doc)
-    assert path.read_bytes() == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+def test_write_json_writes_what_json_dumps_writes(tmp_path):
+    path = tmp_path / "doc.json"
+    for doc in JSON_DOCUMENTS:
+        cli._write_json(path, doc)
+        assert path.read_bytes() == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
 
 
 class TestConfigMerging:
@@ -962,8 +960,11 @@ def _set_token(token_id, key, value):
     (_set_token(33, "tag_kind", "mood"), "bad tag kind at id 33"),
     (lambda doc: {**doc, "L": doc["L"] + 1, "D": doc["D"] - 1},
      "role blocks disagree with the L/D header"),
+    (lambda doc: {**doc, "blank_id": doc["blank_id"] - 1},
+     "blank_id 48 is not the last token id 49"),
 ], ids=["not_an_object", "no_version", "no_field", "surface_not_a_string",
-        "entity_type_not_a_string", "tag_on_a_word", "bad_tag_kind", "roles_against_header"])
+        "entity_type_not_a_string", "tag_on_a_word", "bad_tag_kind", "roles_against_header",
+        "blank_id_not_last"])
 def test_vocab_file_refusals_name_the_file(tmp_path, calendar_registry, capsys, edit, message):
     # token 33 is the first tag (an intent) and 36 an entity-begin tag
     doc = json.loads(c.vocab_document(calendar_registry))

@@ -38,6 +38,9 @@ class TestEmissionMatrix:
             c.EmissionMatrix(np.ones((2, 1)))
         with pytest.raises(ValueError):
             c.EmissionMatrix(np.array([[1.2, -0.2]]))
+        # every entry at most 1 and the row sums to 1: only the lower bound refuses it
+        with pytest.raises(c.InvalidValue, match="entries must lie in"):
+            c.EmissionMatrix(np.array([[-0.5, 0.75, 0.75]]))
         with pytest.raises(ValueError):
             c.EmissionMatrix(np.array([[0.5, 0.4]]))  # row sums to 0.9
 

@@ -169,7 +169,7 @@ class TestStreamingDecoder:
 
     @pytest.mark.parametrize("row", [
         [np.inf, 0.5, 0.5], [-3.0, 0.0, 2.0], [0.5, 0.5, 0.5], [1.5, -0.25, -0.25],
-        [-np.inf, 0.5, 0.5],
+        [-np.inf, 0.5, 0.5], [-0.5, 0.75, 0.75],
     ])
     def test_row_that_emission_matrix_refuses_is_not_taken_in(self, row):
         stream = c.StreamingDecoder(3)
@@ -203,18 +203,24 @@ def accepts(check, row) -> bool:
 @st.composite
 def stream_rows(draw):
     """A row of width 2-12: normalized, then perhaps moved to within a few
-    ulps of a sum of 1 +- ROW_SUM_TOL, or given one special entry."""
+    ulps of a sum of 1 +- ROW_SUM_TOL, given one special entry, or (width 3
+    and up) made one negative entry beside entries in [0, 1] that sum to 1."""
     width = draw(st.integers(2, 12))
     row = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=width, max_size=width)))
     if row.sum() > 0 and draw(st.booleans()):
         row /= row.sum()
     k = draw(st.integers(0, width - 1))
-    change = draw(st.sampled_from(["none", "edge", "special"]))
+    change = draw(st.sampled_from(["none", "edge", "special"] + ["negative"] * (width > 2)))
     if change == "edge":
         sign = draw(st.sampled_from([-1.0, 1.0]))
         row[k] += sign * ROW_SUM_TOL + draw(st.integers(-4, 4)) * 2.0**-52
     elif change == "special":
         row[k] = draw(st.sampled_from([np.nan, np.inf, -np.inf, -1e-300, 1.0 + 1e-15, 2.0]))
+    elif change == "negative":
+        # only the entries' lower bound refuses this row
+        negative = draw(st.floats(1e-300, 1.0))
+        row[:] = (1.0 + negative) / (width - 1)
+        row[k] = -negative
     return row
 
 

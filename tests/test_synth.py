@@ -456,13 +456,26 @@ class TestTrain:
         _, registry, items = small_corpus
         _, labels, features = items[0]
         too_short = (features[:2], [labels[0]] * 5)
-        with pytest.warns(UserWarning, match="skipping utterance"):
+        with pytest.warns(UserWarning,
+                          match="^utterance 1: 2 frames cannot fit 9 alignment slots; skipped$"):
             model, _ = c.train(
                 [(features, labels), too_short],
                 registry.vocab.v_total,
                 self.train_config(epochs=1),
             )
         assert model.v_total == registry.vocab.v_total
+
+    # two equal labels need 3 frames: a label, the blank between, a label
+    def test_a_sample_with_exactly_the_frames_its_labels_need_is_kept(self, small_corpus):
+        _, registry, items = small_corpus
+        _, labels, features = items[0]
+        exact, short = (features[:3], [labels[1]] * 2), (features[:2], [labels[1]] * 2)
+        with pytest.warns(UserWarning) as caught:
+            _, losses = c.train([exact, short, exact], registry.vocab.v_total,
+                                self.train_config(epochs=1))
+        assert [str(w.message) for w in caught] == [
+            "utterance 1: 2 frames cannot fit 3 alignment slots; skipped"]
+        assert np.isfinite(losses).all()
 
     def test_all_infeasible_is_an_error(self, small_corpus):
         _, registry, items = small_corpus
