@@ -17,20 +17,13 @@ import hashlib
 import json
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .decoder import check_width, emit_timeline, greedy_decode
-from .errors import (
-    AlignmentError,
-    CtcTagError,
-    EmptyReference,
-    FormatError,
-    UnknownToken,
-    UsageError,
-)
+from .errors import AlignmentError, CtcTagError, FormatError, UsageError, named
 from .evaluate import evaluate_corpus
-from .formats import _named, load_emission_matrix, read_feature_file
+from .formats import load_emission_matrix, read_feature_file
 from .synth import (
     SynthConfig,
     TrainConfig,
@@ -63,6 +56,13 @@ class _Parser(argparse.ArgumentParser):
 def _write_json(path, doc: dict) -> None:
     """Write `json.dumps(doc, sort_keys=True, indent=2)` and a newline."""
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def _rounded(value):
+    """`value` with every float in it, at any depth, rounded to 4 decimals."""
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    return round(value, 4) if isinstance(value, float) else value
 
 
 def _out_dir(args) -> Path:
@@ -175,9 +175,9 @@ def _cmd_train(args) -> TrainConfig:
     # a warning, not an error: a loss can rise for an epoch and fall again
     for epoch in range(1, len(losses)):
         if losses[epoch] > losses[epoch - 1]:
-            print(f"warning: epoch {epoch} mean loss {losses[epoch]:.6f} is above epoch "
-                  f"{epoch - 1}'s {losses[epoch - 1]:.6f} at learning rate {cfg.learning_rate}",
-                  file=sys.stderr)
+            warnings.warn(f"epoch {epoch} mean loss {losses[epoch]:.6f} is above epoch "
+                          f"{epoch - 1}'s {losses[epoch - 1]:.6f} at learning rate "
+                          f"{cfg.learning_rate}")
     out = _out_dir(args)
     save_model(model, out / "model.json")
     lines = ["epoch\tmean_nll"]
@@ -205,7 +205,8 @@ def _cmd_decode(args) -> None:
     vocab = registry.vocab
     if features_mode:
         model = load_model(args.model)
-        _named(args.model, check_width, model, vocab)  # once: it fixes every prediction's width
+        # once: it fixes every prediction's width
+        named(f"{args.model}: ", check_width, model, vocab)
         sources = [(r.uid, r.feature_path) for r in read_manifest(args.manifest)]
     else:
         # a file's stem is its id, and eval refuses a repeated id
@@ -223,9 +224,9 @@ def _cmd_decode(args) -> None:
     for uid, source in sources:
         if features_mode:
             path = manifest_feature_path(args.manifest, source)
-            emissions = _named(path, model.predict, read_feature_file(path))
+            emissions = named(f"{path}: ", model.predict, read_feature_file(path))
         else:
-            emissions = _named(source, check_width, load_emission_matrix(source), vocab)
+            emissions = named(f"{source}: ", check_width, load_emission_matrix(source), vocab)
         tagged_text, doc = _decode_one(registry, emissions)
         doc["id"] = uid
         lines.append(json.dumps(doc, sort_keys=True) + "\n")
@@ -249,10 +250,8 @@ def _cmd_eval(args) -> None:
         raise AlignmentError(f"{args.hyp}: {extra[0]} is not in the reference {args.ref}")
 
     def to_transcript(path, record):
-        try:
-            labels = encode_tagged_text(registry, record.tagged_text)
-        except UnknownToken as exc:
-            raise UnknownToken(f"{path}: id {record.uid!r}: {exc}") from None
+        labels = named(f"{path}: id {record.uid!r}: ", encode_tagged_text, registry,
+                       record.tagged_text)
         return parse(labels, registry)
 
     ref_ts = [to_transcript(args.ref, r) for r in ref_records]
@@ -260,32 +259,11 @@ def _cmd_eval(args) -> None:
     no_intent = [r.uid for r, t in zip(ref_records, ref_ts) if t.intent is None]
     if no_intent:
         raise AlignmentError(f"{args.ref}: reference {no_intent[0]!r} has no intent tag")
-    try:
-        report = evaluate_corpus(ref_ts, hyp_ts)
-    except EmptyReference as exc:
-        raise EmptyReference(f"{args.ref}: {exc}") from None
-    doc = {
-        "n_utterances": len(ref_records),
-        "precision": round(report.precision, 4),
-        "recall": round(report.recall, 4),
-        "f1": round(report.f1, 4),
-        "wer": round(report.wer, 4),
-        "intent_accuracy": round(report.intent_accuracy, 4),
-        "per_type": {
-            name: {
-                "precision": round(s.precision, 4),
-                "recall": round(s.recall, 4),
-                "f1": round(s.f1, 4),
-            }
-            for name, s in report.per_type.items()
-        },
-        "totals": {
-            "reference": report.totals.total_reference,
-            "system": report.totals.total_system,
-            "correct": report.totals.total_correct,
-        },
-        "vocab_sha256": hashlib.sha256(vocab_document(registry).encode()).hexdigest(),
-    }
+    report = named(f"{args.ref}: ", evaluate_corpus, ref_ts, hyp_ts)
+    doc = _rounded(asdict(report))
+    doc["totals"] = {k.removeprefix("total_"): v for k, v in doc["totals"].items()}
+    doc["n_utterances"] = len(ref_records)
+    doc["vocab_sha256"] = hashlib.sha256(vocab_document(registry).encode()).hexdigest()
     out = _out_dir(args)
     _write_json(out / "report.json", doc)
     print(
@@ -297,7 +275,7 @@ def _cmd_eval(args) -> None:
 def _cmd_timeline(args) -> None:
     registry = load_vocab(args.vocab)
     emissions = load_emission_matrix(args.emissions)
-    rows = _named(args.emissions, emit_timeline, emissions, registry)
+    rows = named(f"{args.emissions}: ", emit_timeline, emissions, registry)
     lines = ["t\ttoken_id\tsurface\tprob\tis_blank"]
     for row in rows:
         flag = "true" if row.is_blank else "false"

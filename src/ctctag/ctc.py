@@ -44,12 +44,12 @@ from itertools import groupby, product
 import numpy as np
 
 from .errors import (
-    BlankInLabelSequence,
     InfeasibleAlignment,
     InvalidValue,
     ShapeError,
     TooLargeForOracle,
     UnknownToken,
+    named,
 )
 from .vocab import check_label_ids
 
@@ -175,6 +175,16 @@ def sequence_probability_bruteforce(emissions: EmissionMatrix, labels) -> float:
     return total
 
 
+def _target(labels, t_frames: int, v_total: int) -> list[int]:
+    """The validated label ids; InfeasibleAlignment unless some path of
+    `t_frames` frames can collapse to them."""
+    target = check_label_ids(labels, v_total)
+    need = min_frames(target)
+    if t_frames < need:
+        raise InfeasibleAlignment(f"{len(target)} labels need {need} frames, got {t_frames}")
+    return target
+
+
 def _layout(labels, frame_counts, v_total: int, batched: bool) -> tuple[np.ndarray, np.ndarray]:
     """State counts (B,) and blank-interleaved label sequences (B, 2, S_max)
     of a batch, of the labels and of the reversed labels, states past an
@@ -184,18 +194,8 @@ def _layout(labels, frame_counts, v_total: int, batched: bool) -> tuple[np.ndarr
     of each utterance's frames can collapse to its labels; in a batch the
     error names the utterance.
     """
-    targets = []
-    for b, (seq, t_frames) in enumerate(zip(labels, frame_counts)):
-        try:
-            target = check_label_ids(seq, v_total)
-            need = min_frames(target)
-            if t_frames < need:
-                raise InfeasibleAlignment(f"{len(target)} labels need {need} frames, got {t_frames}")
-        except (UnknownToken, BlankInLabelSequence, InfeasibleAlignment) as exc:
-            if not batched:
-                raise
-            raise type(exc)(f"utterance {b}: {exc}") from None
-        targets.append(target)
+    targets = [named(_utterance(b, batched), _target, seq, t_frames, v_total)
+               for b, (seq, t_frames) in enumerate(zip(labels, frame_counts))]
     n_states = np.array([2 * len(target) + 1 for target in targets])
     ext = np.full((len(targets), 2, n_states.max()), v_total, dtype=np.int64)
     for b, target in enumerate(targets):

@@ -6,6 +6,9 @@ command line maps `UsageError` to exit code 1 and every other `CtcTagError`
 because it is a bug. A plain `ValueError` is left only for a caller's
 programming error, such as an unknown emission kind passed to
 `write_emission_file`.
+
+`named` is the one way to put a file, a manifest line or an utterance in
+front of a failure's message.
 """
 
 
@@ -80,3 +83,12 @@ class TruncatedFile(CtcTagError):
 
 class UnsupportedVersion(CtcTagError):
     """A file declares a format version this code does not read."""
+
+
+def named(prefix: str, fn, *args):
+    """`fn(*args)`; a CtcTagError it raises is raised again, of the same
+    type, with `prefix` in front of its message."""
+    try:
+        return fn(*args)
+    except CtcTagError as exc:
+        raise type(exc)(f"{prefix}{exc}") from None

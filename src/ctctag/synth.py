@@ -34,6 +34,7 @@ from .errors import (
     UnknownToken,
     UnsupportedVersion,
     UsageError,
+    named,
 )
 from .formats import _narrow_features, check_finite, read_feature_file, write_feature_file
 from .vocab import (
@@ -581,10 +582,8 @@ def load_training_samples(
 
     def named_samples():
         for record in read_manifest(manifest_path):
-            try:
-                labels = encode_tagged_text(registry, record.tagged_text)
-            except UnknownToken as exc:
-                raise UnknownToken(f"{manifest_path}: id {record.uid!r}: {exc}") from None
+            labels = named(f"{manifest_path}: id {record.uid!r}: ",
+                           encode_tagged_text, registry, record.tagged_text)
             if strip_tags:
                 labels = [t for t in labels if registry.binding_by_id[t] is None]
             features = read_feature_file(manifest_feature_path(manifest_path, record.feature_path))

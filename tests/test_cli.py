@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -94,6 +95,20 @@ class TestPipelineOutputs:
         assert capsys.readouterr().err == "".join(expected)
         assert (out / "model.json").exists()
 
+    def test_train_warns_only_of_a_loss_above_the_last(self, tmp_path, calendar_registry,
+                                                       capsys, monkeypatch):
+        model = c.ToyModel.init(2, calendar_registry.vocab.v_total, np.random.default_rng(0),
+                                receptive_field=1, hidden_width=2)
+        monkeypatch.setattr(cli, "train_from_manifest",
+                            lambda *_: (model, [1.0, 1.0, 0.5, 0.75]))
+        c.save_vocab(calendar_registry, tmp_path / "vocab.json")
+        assert main(["train", "--lr", "0.1", "--manifest", str(tmp_path / "unread.jsonl"),
+                     "--vocab", str(tmp_path / "vocab.json"), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: epoch 3 mean loss 0.750000 is above epoch 2's 0.500000 "
+            "at learning rate 0.1\n"
+        )
+
     def test_decode_outputs(self, pipeline):
         data, decoded = pipeline["data"], pipeline["decoded"]
         hyp = read_manifest(decoded / "hyp_manifest.jsonl")
@@ -140,6 +155,56 @@ class TestEvalSemantics:
         report = json.loads((out / "report.json").read_text())
         assert report["f1"] == 1.0
         assert report["wer"] == 0.0
+
+    def test_report_is_the_corpus_report_rounded_to_4_decimals(self, tmp_path,
+                                                              calendar_registry):
+        # every score has a nonzero fifth decimal, so each one's rounding shows
+        ref = [
+            "@CALENDER_SET@ put !PERSON! paul !END! with !PERSON! mary !END! "
+            "with !PERSON! alice !END!",
+            "@CALENDER_QUERY@ when" + " !DATE! monday !END!" * 5 + " for !DATE! tomorrow !END!",
+            "@REMINDER_SET@ remind the lunch",
+        ]
+        hyp = [
+            "@CALENDER_SET@ put !PERSON! paul !END! with" + " !PERSON! omar !END!" * 5,
+            "@CALENDER_SET@ when !DATE! monday !END!" + " !DATE! friday !END!" * 5
+            + " for !DATE! tomorrow !END!",
+            "@REMINDER_SET@ remind the lunch",
+        ]
+        for name, texts in (("ref", ref), ("hyp", hyp)):
+            write_manifest(tmp_path / f"{name}.jsonl",
+                           [UtteranceRecord(f"u{i}", text, f"u{i}.ctcf")
+                            for i, text in enumerate(texts)])
+        c.save_vocab(calendar_registry, tmp_path / "vocab.json")
+        assert main(["eval", "--ref", str(tmp_path / "ref.jsonl"),
+                     "--hyp", str(tmp_path / "hyp.jsonl"),
+                     "--vocab", str(tmp_path / "vocab.json"), "--out", str(tmp_path / "s")]) == 0
+
+        def transcripts(texts):
+            return [c.parse(c.encode_tagged_text(calendar_registry, t), calendar_registry)
+                    for t in texts]
+
+        r = c.evaluate_corpus(transcripts(ref), transcripts(hyp))
+        scores = [r.precision, r.recall, r.f1, r.wer, r.intent_accuracy]
+        scores += [x for s in r.per_type.values() for x in (s.precision, s.recall, s.f1)]
+        assert all(round(x, 5) != round(x, 4) for x in scores)
+        assert r.intent_accuracy == 2 / 3 and r.recall == 3 / 9
+        assert json.loads((tmp_path / "s" / "report.json").read_text()) == {
+            "n_utterances": 3,
+            "precision": round(r.precision, 4),
+            "recall": round(r.recall, 4),
+            "f1": round(r.f1, 4),
+            "wer": round(r.wer, 4),
+            "intent_accuracy": round(r.intent_accuracy, 4),
+            "per_type": {
+                name: {"precision": round(s.precision, 4), "recall": round(s.recall, 4),
+                       "f1": round(s.f1, 4)}
+                for name, s in r.per_type.items()
+            },
+            "totals": {"reference": 9, "system": 13, "correct": 3},
+            "vocab_sha256": hashlib.sha256(c.vocab_document(calendar_registry).encode())
+            .hexdigest(),
+        }
 
     def test_hypothesis_order_does_not_matter(self, pipeline, tmp_path):
         data = pipeline["data"]

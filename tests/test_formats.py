@@ -127,7 +127,7 @@ class TestEmissionReadErrors:
     def test_trailing_bytes(self, tmp_path):
         path = self.make_file(tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(c.FormatError):
+        with pytest.raises(c.FormatError, match=": 1 trailing bytes$"):
             c.read_emission_file(path)
 
     def test_unsupported_version(self, tmp_path):
@@ -260,7 +260,7 @@ class TestFeatureFiles:
 
         trailing = tmp_path / "trail.ctcf"
         trailing.write_bytes(struct.pack("<4sHII", b"CTCF", 1, 1, 1) + b"\x00" * 8)
-        with pytest.raises(c.FormatError):
+        with pytest.raises(c.FormatError, match=": 4 trailing bytes$"):
             c.read_feature_file(trailing)
 
         for t_frames, dim in [(0, 2), (2, 0)]:

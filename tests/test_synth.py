@@ -168,6 +168,16 @@ class TestSampleUtterance:
         assert len(labels) == 4  # intent tag + 3 words
         assert features.shape == (6, cfg.feature_dim)
 
+    def test_a_filler_minimum_of_one_is_drawn(self):
+        cfg = tiny_config(n_utterances=1, entities_per_utterance=(1, 1),
+                          fillers_per_utterance=(1, 2))
+        registry = c.build_registry(cfg)
+        _, labels, _ = c.sample_utterance(cfg, registry, 0, embedding_table(cfg))
+        transcript = c.parse(labels, registry)
+        assert transcript.anomalies == ()
+        assert len(transcript.entities) == 1
+        assert 1 <= len(transcript.words) - len(transcript.entities[0].phrase.split()) <= 2
+
     def test_grammar_invariants(self, small_corpus):
         cfg, registry, items = small_corpus
         lead_words = {w: name for name, lex in cfg.intents.items() for w in lex}
